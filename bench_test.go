@@ -1,7 +1,11 @@
 package staticest_test
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"staticest"
@@ -313,6 +317,78 @@ func BenchmarkEstimateSuiteProgram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u.Estimate()
 	}
+}
+
+// BenchmarkEstimateLargeFunc measures Estimate on one function of n
+// blocks: main with n/2 sequential one-armed ifs, conditions rotating
+// through four shapes (the benchmark ladder's if chains). The Markov
+// system has no cycle, so the condensation solve is one pass; its cost
+// should grow linearly in n, where the dense system grew with n³.
+func BenchmarkEstimateLargeFunc(b *testing.B) {
+	for _, n := range []int{500, 2000, 8000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			benchEstimate(b, ifChainSource(n/2))
+		})
+	}
+}
+
+// BenchmarkEstimateDeepNest measures Estimate on main with depth nested
+// statements: ifs, with a while loop at every tenth level. Each branch
+// prediction inspects the arms of an if that encloses everything deeper,
+// so a predictor that walks each arm anew costs depth².
+func BenchmarkEstimateDeepNest(b *testing.B) {
+	for _, depth := range []int{250, 500, 1000} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			benchEstimate(b, deepNestSource(depth))
+		})
+	}
+}
+
+func benchEstimate(b *testing.B, src []byte) {
+	u, err := staticest.Compile("large.c", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u.Estimate()
+	}
+}
+
+func ifChainSource(ifs int) []byte {
+	var b bytes.Buffer
+	b.WriteString("int main() {\n  int x;\n  int y;\n  x = getchar();\n  y = 0;\n")
+	for i := 0; i < ifs; i++ {
+		switch i % 4 {
+		case 0:
+			fmt.Fprintf(&b, "  if (x > %d) y = y + %d;\n", i%97, i%13)
+		case 1:
+			fmt.Fprintf(&b, "  if (x == %d) y = y - 1;\n", i%89)
+		case 2:
+			fmt.Fprintf(&b, "  if (y < 0) y = %d;\n", i%7)
+		default:
+			b.WriteString("  if (x != y) x = x + 1;\n")
+		}
+	}
+	b.WriteString("  return y;\n}\n")
+	return b.Bytes()
+}
+
+func deepNestSource(depth int) []byte {
+	var b bytes.Buffer
+	b.WriteString("int main() {\n  int x;\n  int y;\n  int i;\n  x = getchar();\n  y = 0;\n  i = 0;\n")
+	for d := 0; d < depth; d++ {
+		if d%10 == 9 {
+			fmt.Fprintf(&b, "while (i < %d) { i = i + 1;\n", d)
+		} else {
+			fmt.Fprintf(&b, "if (x > %d) { y = y + 1;\n", d)
+		}
+	}
+	b.WriteString("y = y * 2;\n")
+	b.WriteString(strings.Repeat("}\n", depth))
+	b.WriteString("  return y;\n}\n")
+	return b.Bytes()
 }
 
 // BenchmarkInlineXlisp measures the optimizer subsystem's planning plus

@@ -1,8 +1,9 @@
 // Command stress drives the generative differential-testing harness:
 // it generates N random C-subset programs from a seed, runs each
 // through the invariant checker and cross-pipeline oracles
-// (full-vs-sparse reconstruction, inline profile equivalence,
-// metamorphic estimate stability, server/library agreement), and, on
+// (condensation-vs-dense Markov solve, full-vs-sparse reconstruction,
+// inline profile equivalence, metamorphic estimate stability,
+// server/library agreement), and, on
 // failure, greedily shrinks the program to a minimal reproducer under
 // testdata/repro/.
 //

@@ -81,62 +81,59 @@ func WalkStmt(s Stmt, fn func(Stmt) bool) {
 // nested statements): the expression of an ExprStmt, condition of a
 // branch, initializers of a declaration, and so on.
 func StmtExprs(s Stmt) []Expr {
-	switch x := s.(type) {
-	case *ExprStmt:
-		return []Expr{x.X}
-	case *DeclStmt:
-		var out []Expr
-		for _, d := range x.Decls {
-			out = append(out, initExprs(d.Init)...)
-		}
-		return out
-	case *If:
-		return []Expr{x.Cond}
-	case *While:
-		return []Expr{x.Cond}
-	case *DoWhile:
-		return []Expr{x.Cond}
-	case *For:
-		var out []Expr
-		for _, e := range []Expr{x.Init, x.Cond, x.Post} {
-			if e != nil {
-				out = append(out, e)
-			}
-		}
-		return out
-	case *Switch:
-		return []Expr{x.Tag}
-	case *Return:
-		if x.X != nil {
-			return []Expr{x.X}
-		}
-	}
-	return nil
+	var out []Expr
+	EachStmtExpr(s, func(e Expr) { out = append(out, e) })
+	return out
 }
 
-func initExprs(in Init) []Expr {
-	switch v := in.(type) {
-	case nil:
-		return nil
-	case *ExprInit:
-		return []Expr{v.X}
-	case *ListInit:
-		var out []Expr
-		for _, e := range v.Elems {
-			out = append(out, initExprs(e)...)
+// EachStmtExpr calls fn for each expression StmtExprs returns, in order,
+// without building the slice: walkers that visit every statement of a
+// function call it once per statement.
+func EachStmtExpr(s Stmt, fn func(Expr)) {
+	switch x := s.(type) {
+	case *ExprStmt:
+		fn(x.X)
+	case *DeclStmt:
+		for _, d := range x.Decls {
+			eachInitExpr(d.Init, fn)
 		}
-		return out
+	case *If:
+		fn(x.Cond)
+	case *While:
+		fn(x.Cond)
+	case *DoWhile:
+		fn(x.Cond)
+	case *For:
+		for _, e := range [...]Expr{x.Init, x.Cond, x.Post} {
+			if e != nil {
+				fn(e)
+			}
+		}
+	case *Switch:
+		fn(x.Tag)
+	case *Return:
+		if x.X != nil {
+			fn(x.X)
+		}
 	}
-	return nil
+}
+
+func eachInitExpr(in Init, fn func(Expr)) {
+	switch v := in.(type) {
+	case *ExprInit:
+		fn(v.X)
+	case *ListInit:
+		for _, e := range v.Elems {
+			eachInitExpr(e, fn)
+		}
+	}
 }
 
 // WalkFuncExprs visits every expression in the function body, including
 // those nested in statements, pre-order.
 func WalkFuncExprs(fd *FuncDecl, fn func(Expr) bool) {
 	WalkStmt(fd.Body, func(s Stmt) bool {
-		for _, e := range StmtExprs(s) {
-			WalkExpr(e, fn)
-		}
+		EachStmtExpr(s, func(e Expr) { WalkExpr(e, fn) })
 		return true
 	})
 }
@@ -281,9 +278,7 @@ func ReadObjects(s Stmt) map[*Object]bool {
 		}
 	}
 	WalkStmt(s, func(st Stmt) bool {
-		for _, e := range StmtExprs(st) {
-			visit(e, false)
-		}
+		EachStmtExpr(st, func(e Expr) { visit(e, false) })
 		return true
 	})
 	return out

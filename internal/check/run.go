@@ -8,7 +8,7 @@ import (
 )
 
 // Oracles names every check Run knows, in execution order.
-var Oracles = []string{"invariants", "sparse", "bc", "inline", "reuse", "metamorphic", "ingest", "server", "batch"}
+var Oracles = []string{"invariants", "markov-dense", "sparse", "bc", "inline", "reuse", "metamorphic", "ingest", "server", "batch"}
 
 // Options selects which oracles Run executes.
 type Options struct {
@@ -64,6 +64,9 @@ func Run(name string, src []byte, opt Options) []Failure {
 		} else {
 			out = append(out, ProfileInvariants(u, res)...)
 		}
+	}
+	if opt.wants("markov-dense") {
+		out = append(out, MarkovDenseOracle(u, est)...)
 	}
 	if opt.wants("sparse") {
 		out = append(out, SparseOracle(u)...)

@@ -44,16 +44,6 @@ func Predict(cp *cfg.Program, conf Config) *Predictions {
 		Switch: make([][]float64, len(sp.SwitchSites)),
 	}
 	noReturn := NoReturnFuncs(cp)
-	// Per-function read sets for the store heuristic, computed lazily.
-	readSets := make(map[*cast.FuncDecl]map[*cast.Object]bool)
-	readSet := func(fd *cast.FuncDecl) map[*cast.Object]bool {
-		rs, ok := readSets[fd]
-		if !ok {
-			rs = cast.ReadObjects(fd.Body)
-			readSets[fd] = rs
-		}
-		return rs
-	}
 	// isErr recognizes transitively no-return callees plus the classic
 	// error-ish names.
 	isErr := func(callee *cast.Object) bool {
@@ -66,8 +56,18 @@ func Predict(cp *cfg.Program, conf Config) *Predictions {
 		}
 		return false
 	}
+	// The facts of every if's two arms, by branch-site ID, from one
+	// pass over each function that has an if.
+	arms := make([][2]stmtFacts, len(sp.BranchSites))
+	walked := make(map[*cast.FuncDecl]bool)
 	for _, bs := range sp.BranchSites {
-		pr.Branch[bs.ID] = predictBranch(bs, conf, readSet, isErr)
+		if _, ok := bs.Stmt.(*cast.If); ok && !walked[bs.Func] {
+			walked[bs.Func] = true
+			armFacts(bs.Func, isErr, arms)
+		}
+	}
+	for _, bs := range sp.BranchSites {
+		pr.Branch[bs.ID] = predictBranch(bs, conf, arms[bs.ID][0], arms[bs.ID][1])
 	}
 	for _, ss := range sp.SwitchSites {
 		pr.Switch[ss.ID] = predictSwitch(ss.Stmt, conf)
@@ -75,10 +75,94 @@ func Predict(cp *cfg.Program, conf Config) *Predictions {
 	return pr
 }
 
-func predictBranch(bs *sem.BranchSite, cfg Config,
-	readSet func(*cast.FuncDecl) map[*cast.Object]bool,
-	isErr func(*cast.Object) bool) BranchPrediction {
+// stmtFacts is what the arm heuristics need to know about a statement
+// subtree (the statement, its expressions, and every statement nested
+// in it).
+type stmtFacts struct {
+	errCall    bool // a direct call to an error callee
+	storesRead bool // assigns a variable the function reads somewhere
+	hasReturn  bool // a return statement
+}
 
+func (f stmtFacts) or(g stmtFacts) stmtFacts {
+	return stmtFacts{f.errCall || g.errCall, f.storesRead || g.storesRead, f.hasReturn || g.hasReturn}
+}
+
+// armFacts records in arms[site] the facts of both arms of every if of
+// fd, computing the facts of every statement once, bottom up. Walking
+// each arm's subtree anew instead costs the square of the nesting
+// depth. The recursion follows cast.WalkStmt.
+func armFacts(fd *cast.FuncDecl, isErr func(*cast.Object) bool, arms [][2]stmtFacts) {
+	reads := cast.ReadObjects(fd.Body)
+	// own collects the facts of one statement's own expressions.
+	var own stmtFacts
+	inspect := func(x cast.Expr) bool {
+		var target cast.Expr
+		switch a := x.(type) {
+		case *cast.Call:
+			if callee := a.Callee(); callee != nil && isErr(callee) {
+				own.errCall = true
+			}
+		case *cast.Assign:
+			target = a.L
+		case *cast.Unary:
+			if a.Op == cast.PreInc || a.Op == cast.PreDec {
+				target = a.X
+			}
+		case *cast.Postfix:
+			target = a.X
+		}
+		// The stores cast.StoredObjects counts.
+		if id, ok := target.(*cast.Ident); ok && id.Obj != nil &&
+			(id.Obj.Kind == cast.ObjVar || id.Obj.Kind == cast.ObjParam) && reads[id.Obj] {
+			own.storesRead = true
+		}
+		return true
+	}
+	walk := func(e cast.Expr) { cast.WalkExpr(e, inspect) }
+	var visit func(s cast.Stmt) stmtFacts
+	visit = func(s cast.Stmt) stmtFacts {
+		if s == nil {
+			return stmtFacts{}
+		}
+		own = stmtFacts{}
+		cast.EachStmtExpr(s, walk)
+		f := own
+		_, f.hasReturn = s.(*cast.Return)
+		switch x := s.(type) {
+		case *cast.Block:
+			for _, c := range x.Stmts {
+				f = f.or(visit(c))
+			}
+		case *cast.If:
+			then, els := visit(x.Then), visit(x.Else)
+			if x.Branch >= 0 {
+				arms[x.Branch] = [2]stmtFacts{then, els}
+			}
+			f = f.or(then).or(els)
+		case *cast.While:
+			f = f.or(visit(x.Body))
+		case *cast.DoWhile:
+			f = f.or(visit(x.Body))
+		case *cast.For:
+			f = f.or(visit(x.Body))
+		case *cast.Switch:
+			for _, c := range x.Cases {
+				for _, cs := range c.Stmts {
+					f = f.or(visit(cs))
+				}
+			}
+		case *cast.Labeled:
+			f = f.or(visit(x.Stmt))
+		}
+		return f
+	}
+	visit(fd.Body)
+}
+
+// predictBranch applies the heuristics in order; then and els are the
+// facts of an if's two arms (zero for loops and absent arms).
+func predictBranch(bs *sem.BranchSite, cfg Config, then, els stmtFacts) BranchPrediction {
 	cond := bs.Stmt.CondExpr()
 	if cond != nil {
 		if v, isConst := fold.BoolCond(cond); isConst {
@@ -96,8 +180,6 @@ func predictBranch(bs *sem.BranchSite, cfg Config,
 		return BranchPrediction{ProbTrue: cfg.loopContinueProb(), Heuristic: "loop"}
 	}
 
-	ifStmt, _ := bs.Stmt.(*cast.If)
-
 	// 1. Pointer heuristic: pointers are unlikely to be NULL, and two
 	//    pointers are unlikely to be equal.
 	if cfg.heuristicEnabled("pointer") {
@@ -108,13 +190,11 @@ func predictBranch(bs *sem.BranchSite, cfg Config,
 
 	// 2. Error-call heuristic: an arm that calls abort/exit — directly
 	//    or through a wrapper that never returns — is unlikely.
-	if cfg.heuristicEnabled("call") && ifStmt != nil {
-		thenErr := ifStmt.Then != nil && cast.ContainsCallMatching(ifStmt.Then, isErr)
-		elseErr := ifStmt.Else != nil && cast.ContainsCallMatching(ifStmt.Else, isErr)
+	if cfg.heuristicEnabled("call") {
 		switch {
-		case thenErr && !elseErr:
+		case then.errCall && !els.errCall:
 			return BranchPrediction{ProbTrue: lo, Heuristic: "call"}
-		case elseErr && !thenErr:
+		case els.errCall && !then.errCall:
 			return BranchPrediction{ProbTrue: hi, Heuristic: "call"}
 		}
 	}
@@ -140,44 +220,27 @@ func predictBranch(bs *sem.BranchSite, cfg Config,
 
 	// 5. Store heuristic: when one arm writes variables that are read
 	//    elsewhere in the function, that arm is more likely.
-	if cfg.heuristicEnabled("store") && ifStmt != nil {
-		rs := readSet(bs.Func)
-		thenStores := armStoresRead(ifStmt.Then, rs)
-		elseStores := armStoresRead(ifStmt.Else, rs)
+	if cfg.heuristicEnabled("store") {
 		switch {
-		case thenStores && !elseStores:
+		case then.storesRead && !els.storesRead:
 			return BranchPrediction{ProbTrue: hi, Heuristic: "store"}
-		case elseStores && !thenStores:
+		case els.storesRead && !then.storesRead:
 			return BranchPrediction{ProbTrue: lo, Heuristic: "store"}
 		}
 	}
 
 	// 6. Return heuristic (Ball/Larus): an arm that returns early is
 	//    unlikely.
-	if cfg.heuristicEnabled("return") && ifStmt != nil {
-		thenRet := ifStmt.Then != nil && cast.ContainsReturn(ifStmt.Then)
-		elseRet := ifStmt.Else != nil && cast.ContainsReturn(ifStmt.Else)
+	if cfg.heuristicEnabled("return") {
 		switch {
-		case thenRet && !elseRet:
+		case then.hasReturn && !els.hasReturn:
 			return BranchPrediction{ProbTrue: lo, Heuristic: "return"}
-		case elseRet && !thenRet:
+		case els.hasReturn && !then.hasReturn:
 			return BranchPrediction{ProbTrue: hi, Heuristic: "return"}
 		}
 	}
 
 	return BranchPrediction{ProbTrue: 0.5, Heuristic: "none"}
-}
-
-func armStoresRead(arm cast.Stmt, reads map[*cast.Object]bool) bool {
-	if arm == nil {
-		return false
-	}
-	for o := range cast.StoredObjects(arm) {
-		if reads[o] {
-			return true
-		}
-	}
-	return false
 }
 
 // pointerHeuristic handles pointer-valued conditions:

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"staticest/internal/callgraph"
 	"staticest/internal/graphs"
-	"staticest/internal/linalg"
 )
 
 // MarkovInterResult reports the Markov call-graph estimate along with
@@ -33,6 +33,13 @@ type MarkovInterResult struct {
 // per the paper: clamp direct-recursive arcs, then scale down
 // strongly-connected components until each sub-solution is valid.
 func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *MarkovInterResult {
+	return EstimateInterMarkovWith(cg, local, conf, (*MarkovSystem).Solve)
+}
+
+// EstimateInterMarkovWith is EstimateInterMarkov with the solver given,
+// so that every solve, repairs included, can be checked against the
+// dense reference ((*MarkovSystem).SolveDense).
+func EstimateInterMarkovWith(cg *callgraph.Graph, local []float64, conf Config, solve func(*MarkovSystem) ([]float64, error)) *MarkovInterResult {
 	sp := cg.Prog
 	n := len(sp.Funcs)
 	res := &MarkovInterResult{}
@@ -56,11 +63,8 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 		nn = n + 1
 	}
 
-	// Arc weights w[from][to], merged per function pair.
-	w := make([]map[int]float64, nn)
-	for i := range w {
-		w[i] = make(map[int]float64)
-	}
+	// Arc weights, in call-site order, merged per function pair below.
+	var arcs []MarkovArc
 	for _, site := range sp.CallSites {
 		f := site.Caller.Obj.FuncIndex
 		weight := local[site.ID]
@@ -69,12 +73,12 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 		}
 		if site.Indirect() {
 			if usePtr {
-				w[f][ptrNode] += weight
+				arcs = append(arcs, MarkovArc{From: f, To: ptrNode, P: weight})
 			}
 			continue
 		}
 		if g := site.Callee.FuncIndex; g >= 0 {
-			w[f][g] += weight
+			arcs = append(arcs, MarkovArc{From: f, To: g, P: weight})
 		}
 	}
 	if usePtr {
@@ -83,15 +87,17 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 			total += float64(at.Count)
 		}
 		for _, at := range cg.AddrTaken {
-			w[ptrNode][at.FuncIndex] = float64(at.Count) / total
+			arcs = append(arcs, MarkovArc{From: ptrNode, To: at.FuncIndex, P: float64(at.Count) / total})
 		}
 	}
+	sys := NewMarkovSystem(nn)
+	sys.Arcs = mergeArcs(arcs)
 
 	// Paper fix 1: a direct-recursion arc with weight >= 1 would mean
 	// the function never returns; clamp to the standard value.
-	for i := 0; i < nn; i++ {
-		if sw, ok := w[i][i]; ok && sw >= 1 {
-			w[i][i] = conf.RecursionClamp
+	for i := range sys.Arcs {
+		if a := &sys.Arcs[i]; a.From == a.To && a.P >= 1 {
+			a.P = conf.RecursionClamp
 			res.ClampedSelfArcs++
 		}
 	}
@@ -100,34 +106,19 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 	if mainIdx < 0 {
 		mainIdx = 0
 	}
+	sys.Source[mainIdx] = 1
 
-	x, ok := solveChain(nn, w, mainIdx)
-	if !ok {
-		// Paper fix 2: repair each recursive SCC in isolation, scaling
-		// its arc weights down until the sub-solution is valid, then
+	x, err := solve(sys)
+	if err != nil {
+		// Paper fix 2: repair each recursive SCC in isolation, then
 		// re-solve the whole graph.
-		adj := make([][]int, nn)
-		for i := 0; i < nn; i++ {
-			for j := range w[i] {
-				adj[i] = append(adj[i], j)
-			}
-		}
-		for _, comp := range graphs.SCC(nn, adj) {
-			if !graphs.IsRecursiveComp(comp, adj) {
-				continue
-			}
-			if repairSCC(comp, w, conf) {
-				res.RepairedSCCs++
-			}
-		}
-		x, ok = solveChain(nn, w, mainIdx)
-		if !ok {
-			// Last resort: clamp whatever the (possibly partial)
-			// solution produced; callers still get a ranking.
-			if x == nil {
-				x = make([]float64, nn)
-				x[mainIdx] = 1
-			}
+		res.RepairedSCCs = repairSCCs(sys, conf, solve)
+		// Last resort: a still-invalid solution is clamped below, so
+		// callers still get a ranking; a singular one leaves main.
+		x, _ = solve(sys)
+		if x == nil {
+			x = make([]float64, nn)
+			x[mainIdx] = 1
 		}
 	}
 	for i := range x {
@@ -142,98 +133,102 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 	return res
 }
 
-// solveChain solves x_i = e_i + sum_f w[f][i] * x_f with e_main = 1.
-// It reports ok=false for singular systems or negative solutions.
-func solveChain(nn int, w []map[int]float64, mainIdx int) ([]float64, bool) {
-	a := linalg.NewMatrix(nn, nn)
-	b := make([]float64, nn)
-	for i := 0; i < nn; i++ {
-		a.Set(i, i, 1)
-	}
-	b[mainIdx] = 1
-	for f := 0; f < nn; f++ {
-		for g, weight := range w[f] {
-			a.Add(g, f, -weight)
+// mergeArcs sorts arcs by (From, To) and merges parallel arcs into one,
+// summing their weights in their original order. The fixed order keeps
+// the solve deterministic.
+func mergeArcs(arcs []MarkovArc) []MarkovArc {
+	sort.SliceStable(arcs, func(i, j int) bool {
+		if arcs[i].From != arcs[j].From {
+			return arcs[i].From < arcs[j].From
 		}
-	}
-	x, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, false
-	}
-	for _, v := range x {
-		if v < -1e-9 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return x, false
-		}
-	}
-	return x, true
-}
-
-// repairSCC solves the component in isolation with an artificial main
-// distributing external inflow m/n across members, requiring the
-// solution to be non-negative and below the ceiling; arc weights inside
-// the component are scaled down until it is. Reports whether any scaling
-// occurred.
-func repairSCC(comp []int, w []map[int]float64, conf Config) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	// External inflow census.
-	inflow := make(map[int]float64, len(comp))
-	total := 0.0
-	for f := range w {
-		if inComp[f] {
+		return arcs[i].To < arcs[j].To
+	})
+	out := arcs[:0]
+	for _, a := range arcs {
+		if k := len(out) - 1; k >= 0 && out[k].From == a.From && out[k].To == a.To {
+			out[k].P += a.P
 			continue
 		}
-		for g, weight := range w[f] {
-			if inComp[g] {
-				inflow[g] += weight
-				total += weight
-			}
+		out = append(out, a)
+	}
+	return out
+}
+
+// repairSCCs solves each recursive component of sys in isolation, with
+// an artificial main distributing the component's external inflow m/n
+// across its members (evenly when nothing flows in), requiring the
+// solution to be non-negative and below the ceiling; the arc weights
+// inside the component are scaled down until it is. It returns how many
+// components needed scaling.
+func repairSCCs(sys *MarkovSystem, conf Config, solve func(*MarkovSystem) ([]float64, error)) int {
+	n := len(sys.Source)
+	adj := make([][]int, n)
+	for _, a := range sys.Arcs {
+		adj[a.From] = append(adj[a.From], a.To)
+	}
+	comps := graphs.SCC(n, adj)
+	comp := graphs.CompIndex(n, comps)
+	// External inflow census, and the arcs inside each component.
+	inflow := make([]float64, n)
+	total := make([]float64, len(comps))
+	inner := make([][]int, len(comps))
+	for i, a := range sys.Arcs {
+		if c := comp[a.To]; comp[a.From] == c {
+			inner[c] = append(inner[c], i)
+		} else {
+			inflow[a.To] += a.P
+			total[c] += a.P
 		}
 	}
-	k := len(comp)
-	scaled := false
-	for iter := 0; iter < 400; iter++ {
-		a := linalg.NewMatrix(k, k)
-		b := make([]float64, k)
-		for i, v := range comp {
-			a.Set(i, i, 1)
-			if total > 0 {
-				b[i] = inflow[v] / total
+	local := make([]int, n)
+	repaired := 0
+	for c, members := range comps {
+		if !graphs.IsRecursiveComp(members, adj) {
+			continue
+		}
+		k := len(members)
+		for i, v := range members {
+			local[v] = i
+		}
+		sub := NewMarkovSystem(k)
+		for i, v := range members {
+			if total[c] > 0 {
+				sub.Source[i] = inflow[v] / total[c]
 			} else {
-				b[i] = 1 / float64(k)
+				sub.Source[i] = 1 / float64(k)
 			}
 		}
-		for i, f := range comp {
-			for j, g := range comp {
-				if weight, ok := w[f][g]; ok && weight != 0 {
-					a.Add(j, i, -weight)
-				}
+		// sub.Arcs[i] mirrors sys.Arcs[inner[c][i]].
+		sub.Arcs = make([]MarkovArc, len(inner[c]))
+		for i, ai := range inner[c] {
+			a := sys.Arcs[ai]
+			sub.Arcs[i] = MarkovArc{From: local[a.From], To: local[a.To], P: a.P}
+		}
+		scaled := false
+		for iter := 0; iter < 400; iter++ {
+			if x, err := solve(sub); err == nil && !exceeds(x, conf.SCCCeiling) {
+				break
 			}
-		}
-		x, err := linalg.Solve(a, b)
-		valid := err == nil
-		if valid {
-			for _, v := range x {
-				if v < -1e-9 || v > conf.SCCCeiling || math.IsNaN(v) || math.IsInf(v, 0) {
-					valid = false
-					break
-				}
+			// Scale down every arc inside the component.
+			for i, ai := range inner[c] {
+				sys.Arcs[ai].P *= conf.SCCScaleStep
+				sub.Arcs[i].P *= conf.SCCScaleStep
 			}
+			scaled = true
 		}
-		if valid {
-			return scaled
+		if scaled {
+			repaired++
 		}
-		// Scale down every arc inside the component.
-		for _, f := range comp {
-			for g := range w[f] {
-				if inComp[g] {
-					w[f][g] *= conf.SCCScaleStep
-				}
-			}
-		}
-		scaled = true
 	}
-	return scaled
+	return repaired
+}
+
+// exceeds reports whether any entry of x is above ceiling.
+func exceeds(x []float64, ceiling float64) bool {
+	for _, v := range x {
+		if v > ceiling {
+			return true
+		}
+	}
+	return false
 }

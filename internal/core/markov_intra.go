@@ -1,9 +1,6 @@
 package core
 
-import (
-	"staticest/internal/cfg"
-	"staticest/internal/linalg"
-)
+import "staticest/internal/cfg"
 
 // ArcProbs returns the outgoing transition probabilities of a block under
 // the smart predictor: probs[i] is the probability of taking Succs[i].
@@ -60,37 +57,18 @@ func ArcProbs(blk *cfg.Block, preds *Predictions, conf Config) []float64 {
 // (a loop with no exit) or produces negative frequencies, the paper's
 // AST estimate is used as a fallback and Fallback is set.
 func IntraMarkov(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
-	n := len(g.Blocks)
-	if n == 0 {
+	return IntraMarkovWith(g, preds, conf, (*MarkovSystem).Solve)
+}
+
+// IntraMarkovWith is IntraMarkov with the solver given, so that the
+// condensation solve can be checked against the dense reference
+// ((*MarkovSystem).SolveDense) end to end.
+func IntraMarkovWith(g *cfg.Graph, preds *Predictions, conf Config, solve func(*MarkovSystem) ([]float64, error)) *IntraResult {
+	if len(g.Blocks) == 0 {
 		return &IntraResult{}
 	}
-	a := linalg.NewMatrix(n, n)
-	b := make([]float64, n)
-	for i := range g.Blocks {
-		a.Set(i, i, 1)
-	}
-	entryID := g.Entry.ID
-	b[entryID] = 1
-	for _, blk := range g.Blocks {
-		probs := ArcProbs(blk, preds, conf)
-		for i, s := range blk.Succs {
-			if i < len(probs) && probs[i] != 0 {
-				// freq[s] -= prob * freq[blk]  (moved to the LHS)
-				a.Add(s.ID, blk.ID, -probs[i])
-			}
-		}
-	}
-	x, err := linalg.Solve(a, b)
-	valid := err == nil
-	if valid {
-		for _, v := range x {
-			if v < -1e-9 {
-				valid = false
-				break
-			}
-		}
-	}
-	if !valid {
+	x, err := solve(IntraSystem(g, preds, conf))
+	if err != nil {
 		res := IntraAST(g, preds, conf, true)
 		res.Fallback = true
 		return res
@@ -101,4 +79,26 @@ func IntraMarkov(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
 		}
 	}
 	return &IntraResult{BlockFreq: x}
+}
+
+// IntraSystem builds the Markov system of one function: a node per
+// block, one unit of flow injected at the entry, and an arc per CFG
+// edge weighted by ArcProbs.
+func IntraSystem(g *cfg.Graph, preds *Predictions, conf Config) *MarkovSystem {
+	m := NewMarkovSystem(len(g.Blocks))
+	m.Source[g.Entry.ID] = 1
+	arcs := 0
+	for _, blk := range g.Blocks {
+		arcs += len(blk.Succs)
+	}
+	m.Arcs = make([]MarkovArc, 0, arcs)
+	for _, blk := range g.Blocks {
+		probs := ArcProbs(blk, preds, conf)
+		for i, s := range blk.Succs {
+			if i < len(probs) {
+				m.AddArc(blk.ID, s.ID, probs[i])
+			}
+		}
+	}
+	return m
 }

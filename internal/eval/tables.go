@@ -8,7 +8,6 @@ import (
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
 	"staticest/internal/core"
-	"staticest/internal/linalg"
 	"staticest/internal/metric"
 	"staticest/internal/suite"
 	"staticest/internal/texttab"
@@ -185,30 +184,24 @@ func Figure7() (string, error) {
 		return "", err
 	}
 	g := u.CFG.Graphs[0]
-	n := len(g.Blocks)
-
-	// Rebuild the system exactly as IntraMarkov does, for display.
-	a := linalg.NewMatrix(n, n)
-	bvec := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	bvec[g.Entry.ID] = 1
+	sys := core.IntraSystem(g, est.Pred, est.Config)
 
 	var sb strings.Builder
 	sb.WriteString("Figure 7: Markov linear system for strchr\n\n")
 	for _, blk := range g.Blocks {
 		var terms []string
-		if blk == g.Entry {
-			terms = append(terms, "1")
+		if sys.Source[blk.ID] != 0 {
+			terms = append(terms, fmt.Sprintf("%g", sys.Source[blk.ID]))
 		}
-		for _, pred := range blk.Preds {
-			p := arcProbForDisplay(pred, blk, est)
-			a.Add(blk.ID, pred.ID, -p)
-			if p == 1 {
-				terms = append(terms, strchrBlockName(pred))
+		for _, arc := range sys.Arcs {
+			if arc.To != blk.ID {
+				continue
+			}
+			pred := strchrBlockName(g.Blocks[arc.From])
+			if arc.P == 1 {
+				terms = append(terms, pred)
 			} else {
-				terms = append(terms, fmt.Sprintf("%.1f %s", p, strchrBlockName(pred)))
+				terms = append(terms, fmt.Sprintf("%.1f %s", arc.P, pred))
 			}
 		}
 		if len(terms) == 0 {
@@ -216,7 +209,7 @@ func Figure7() (string, error) {
 		}
 		fmt.Fprintf(&sb, "  %-8s = %s\n", strchrBlockName(blk), strings.Join(terms, " + "))
 	}
-	x, err := linalg.Solve(a, bvec)
+	x, err := sys.Solve()
 	if err != nil {
 		return "", err
 	}
@@ -225,22 +218,4 @@ func Figure7() (string, error) {
 		fmt.Fprintf(&sb, "  %-8s = %.2f\n", strchrBlockName(blk), x[blk.ID])
 	}
 	return sb.String(), nil
-}
-
-// arcProbForDisplay recovers the probability on the pred -> blk arc.
-func arcProbForDisplay(pred, blk *cfg.Block, est *core.Estimates) float64 {
-	switch pred.Term {
-	case cfg.TermCond:
-		p := est.Pred.Branch[pred.BranchSite].ProbTrue
-		total := 0.0
-		if pred.Succs[0] == blk {
-			total += p
-		}
-		if pred.Succs[1] == blk {
-			total += 1 - p
-		}
-		return total
-	default:
-		return 1
-	}
 }

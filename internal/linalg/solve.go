@@ -1,7 +1,10 @@
-// Package linalg provides the dense linear-algebra kernel the Markov
-// estimators need: solving Ax = b by Gaussian elimination with partial
-// pivoting. The systems are small (one unknown per basic block or per
-// function), so a dense O(n³) solver is the right tool.
+// Package linalg provides the dense linear-algebra kernel of the Markov
+// estimators: solving Ax = b by Gaussian elimination with partial
+// pivoting, in O(n³) time and O(n²) space. It is the paper's
+// formulation and the reference: core.MarkovSystem.SolveDense solves a
+// whole system with it, while the production solve
+// (core.MarkovSystem.Solve) uses it only on the recursive components of
+// the system's condensation, each k×k.
 package linalg
 
 import (
@@ -47,25 +50,48 @@ func (m *Matrix) Clone() *Matrix {
 // Gaussian elimination with partial pivoting. It returns ErrSingular if
 // no pivot exceeds the tolerance.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("linalg: matrix is %d×%d, want square", a.Rows, a.Cols)
+	if err := checkDims(a, b); err != nil {
+		return nil, err
 	}
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: rhs has %d entries, want %d", len(b), n)
-	}
-	if n == 0 {
+	if a.Rows == 0 {
 		return nil, nil
 	}
 	m := a.Clone()
-	x := make([]float64, n)
+	x := make([]float64, len(b))
 	copy(x, b)
-
-	const tol = 1e-12
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if err := eliminate(m, x); err != nil {
+		return nil, err
 	}
+	return x, nil
+}
+
+// SolveInPlace is Solve without the copies: it overwrites a with its
+// elimination and b with the solution x (meaningless when it returns an
+// error). It suits callers that build a system only to solve it, where
+// the two copies would be most of the allocation.
+func SolveInPlace(a *Matrix, b []float64) error {
+	if err := checkDims(a, b); err != nil {
+		return err
+	}
+	return eliminate(a, b)
+}
+
+func checkDims(a *Matrix, b []float64) error {
+	if a.Cols != a.Rows {
+		return fmt.Errorf("linalg: matrix is %d×%d, want square", a.Rows, a.Cols)
+	}
+	if len(b) != a.Rows {
+		return fmt.Errorf("linalg: rhs has %d entries, want %d", len(b), a.Rows)
+	}
+	return nil
+}
+
+// eliminate replaces x, which holds the right-hand side b, with the
+// solution of m·x = b by Gaussian elimination with partial pivoting,
+// destroying m.
+func eliminate(m *Matrix, x []float64) error {
+	n := m.Rows
+	const tol = 1e-12
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
@@ -77,7 +103,7 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if best < tol {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
 			for j := 0; j < n; j++ {
@@ -108,7 +134,7 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		x[i] = s / m.At(i, i)
 	}
-	return x, nil
+	return nil
 }
 
 // Residual returns the max-norm of A·x − b, a cheap verification that a

@@ -170,3 +170,34 @@ func TestMatrixAccessors(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
+
+// TestSolveInPlaceMatchesSolve: the in-place entry point computes the
+// very same solution as Solve, into b, and reports the same errors.
+func TestSolveInPlaceMatchesSolve(t *testing.T) {
+	a := NewMatrix(3, 3)
+	rows := [][]float64{{4, -2, 1}, {-2, 4, -2}, {1, -2, 3}}
+	for i, r := range rows {
+		for j, v := range r {
+			a.Set(i, j, v)
+		}
+	}
+	b := []float64{11, -16, 17}
+	want, err := Solve(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SolveInPlace(a, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if b[i] != want[i] {
+			t.Errorf("x[%d] = %v in place, %v from Solve", i, b[i], want[i])
+		}
+	}
+	if err := SolveInPlace(NewMatrix(2, 2), []float64{1, 1}); err != ErrSingular {
+		t.Errorf("zero matrix: err = %v, want ErrSingular", err)
+	}
+	if err := SolveInPlace(NewMatrix(2, 3), []float64{1, 1}); err == nil {
+		t.Error("non-square matrix accepted")
+	}
+}

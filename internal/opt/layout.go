@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"sort"
 
 	"staticest/internal/callgraph"
@@ -28,6 +29,17 @@ type wedge struct {
 	idx      int // succ index, for deterministic ties
 }
 
+// tieKey rounds a weight to 30 significant bits, about nine decimal
+// digits, for ordering. Weights that are equal in exact arithmetic can
+// come out of two solvers (or two summation orders) a few ulps apart;
+// compared exactly, that rounding noise would decide the layout. With
+// rounded keys they tie, and the deterministic tie-breaks decide.
+func tieKey(w float64) float64 {
+	const drop = 52 - 30 // mantissa bits rounded away
+	b := math.Float64bits(w)
+	return math.Float64frombits((b + 1<<(drop-1)) &^ (1<<drop - 1))
+}
+
 // chains implements the Pettis–Hansen bottom-up chain merge: every node
 // starts as its own chain; edges are visited hottest first; an edge u→v
 // joins two chains when u is a chain's tail and v is another's head.
@@ -48,8 +60,8 @@ func newChains(n int) *chains {
 
 func (c *chains) merge(edges []wedge) {
 	sort.SliceStable(edges, func(a, b int) bool {
-		if edges[a].w != edges[b].w {
-			return edges[a].w > edges[b].w
+		if ka, kb := tieKey(edges[a].w), tieKey(edges[b].w); ka != kb {
+			return ka > kb
 		}
 		if edges[a].from != edges[b].from {
 			return edges[a].from < edges[b].from
@@ -75,7 +87,8 @@ func (c *chains) merge(edges []wedge) {
 }
 
 // order emits the chains: the one holding first comes first, the rest by
-// descending accumulated weight, ties by smallest leading element.
+// descending accumulated weight (compared by tieKey), ties by smallest
+// leading element.
 func (c *chains) order(first int) []int {
 	var rest []int
 	for ci, l := range c.list {
@@ -84,8 +97,8 @@ func (c *chains) order(first int) []int {
 		}
 	}
 	sort.Slice(rest, func(a, b int) bool {
-		if c.w[rest[a]] != c.w[rest[b]] {
-			return c.w[rest[a]] > c.w[rest[b]]
+		if ka, kb := tieKey(c.w[rest[a]]), tieKey(c.w[rest[b]]); ka != kb {
+			return ka > kb
 		}
 		return c.list[rest[a]][0] < c.list[rest[b]][0]
 	})

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -82,4 +83,23 @@ func TestLayoutKeepsEveryBlockOnce(t *testing.T) {
 	if lay.Order[0][0] != 0 {
 		t.Fatalf("entry not first in %v", lay.Order[0])
 	}
+}
+
+// PerturbEdges returns s with every edge frequency moved by one ulp,
+// up or down by the parity of (block ID + successor index) and dir, for
+// the tie-breaking test in the external test package.
+func PerturbEdges(s *Source, dir int) *Source {
+	p := *s
+	p.edge = func(fi int, blk *cfg.Block) []float64 {
+		ef := append([]float64(nil), s.edge(fi, blk)...)
+		for i, w := range ef {
+			if (blk.ID+i+dir)%2 == 0 {
+				ef[i] = math.Nextafter(w, math.Inf(1))
+			} else {
+				ef[i] = math.Nextafter(w, math.Inf(-1))
+			}
+		}
+		return ef
+	}
+	return &p
 }

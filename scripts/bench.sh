@@ -3,7 +3,8 @@
 # machine-readable snapshots of the numbers this checkout produces,
 # committed periodically so performance can be tracked across history:
 #
-#   BENCH_interp.json  interpreter, probe-profiling, observability
+#   BENCH_interp.json  interpreter, probe-profiling, observability, and
+#                      Estimate over the large-function and deep-nest ladders
 #   BENCH_serve.json   serving paths (estimate cache hits, fleet ingest),
 #                      including p50/p99/p999 tail latency reported by
 #                      the benchmarks as custom p*-ns metrics
@@ -90,7 +91,7 @@ bench_family() {
 	rm -f "$raw"
 }
 
-interp_filter=${BENCH_FILTER:-'InterpretCompress|InlineXlisp|ProbeProfiling|ReuseTrace|Obs(Disabled|Enabled)|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
+interp_filter=${BENCH_FILTER:-'InterpretCompress|EstimateLargeFunc|EstimateDeepNest|InlineXlisp|ProbeProfiling|ReuseTrace|Obs(Disabled|Enabled)|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
 serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$'}
 # The serve family runs at GOMAXPROCS 8 so the parallel cache-scaling
 # benchmarks (ServeEstimateParallel) actually fan out; serial serve
