@@ -1,10 +1,10 @@
 // Command loadtest replays generated programs against a running serve
 // instance at a target request rate and reports the client-observed
 // latency distribution. It is the load half of the serving story: the
-// sharded unit cache and the batch endpoint claim production-rate
-// estimation, and this driver is how that claim is exercised outside
-// the Go benchmark harness — real HTTP, real JSON, a configurable
-// cache hit/miss mix, and honest 429 handling.
+// unit cache and the batch endpoint claim production-rate estimation,
+// and this driver is how that claim is exercised outside the Go
+// benchmark harness — real HTTP, real JSON, a configurable cache
+// hit/miss mix, and honest 429 handling.
 //
 // The workload is built from internal/gen: a hot set of programs that
 // the server will keep cached (the hit side of the mix) and a stream of
@@ -286,7 +286,6 @@ func (d *driver) printServerStatus() error {
 	var st struct {
 		Cache struct {
 			Units    int     `json:"units"`
-			Shards   int     `json:"shards"`
 			Hits     int64   `json:"hits"`
 			Misses   int64   `json:"misses"`
 			HitRatio float64 `json:"hit_ratio"`
@@ -299,8 +298,8 @@ func (d *driver) printServerStatus() error {
 	if err := json.Unmarshal(body, &st); err != nil {
 		return err
 	}
-	fmt.Printf("loadtest: server cache units=%d shards=%d hits=%d misses=%d hit_ratio=%.3f; batch items=%d item_errors=%d\n",
-		st.Cache.Units, st.Cache.Shards, st.Cache.Hits, st.Cache.Misses, st.Cache.HitRatio,
+	fmt.Printf("loadtest: server cache units=%d hits=%d misses=%d hit_ratio=%.3f; batch items=%d item_errors=%d\n",
+		st.Cache.Units, st.Cache.Hits, st.Cache.Misses, st.Cache.HitRatio,
 		st.Batch.Items, st.Batch.ItemErrors)
 	return nil
 }

@@ -48,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"staticest"
 	"staticest/internal/cliutil"
 	"staticest/internal/eval"
 	"staticest/internal/obs"
@@ -58,14 +57,12 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	cache := flag.Int("cache", 64, "compiled units kept in the LRU cache")
-	shards := flag.Int("cache-shards", 0, "unit-cache stripe count, rounded up to a power of two (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request wall-clock budget")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
 	maxSteps := flag.Int64("max-steps", 50_000_000, "block-execution budget per served run")
 	queueWait := flag.Duration("queue-wait", 500*time.Millisecond, "max wait for a worker slot before shedding with 429")
 	jobs := flag.Int("j", 0, "concurrent pipeline requests (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "bytecode", "interpreter engine for served runs: bytecode or tree")
 	trace := flag.String("trace", "", "write JSONL trace events to this file (- for stderr)")
 	metrics := flag.Bool("metrics", false, "print the final metrics exposition to stderr at exit")
 	flag.Parse()
@@ -74,15 +71,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: serve [flags]")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if err := cliutil.CheckEnum("engine", *engine, "bytecode", "tree"); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	runEngine := staticest.EngineBytecode
-	if *engine == "tree" {
-		runEngine = staticest.EngineTree
 	}
 	eval.SetParallelism(*jobs)
 
@@ -102,13 +90,11 @@ func main() {
 
 	s := server.New(server.Config{
 		CacheSize:      *cache,
-		CacheShards:    *shards,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
 		MaxSteps:       *maxSteps,
 		QueueWait:      *queueWait,
-		Engine:         runEngine,
 		Obs:            o,
 	})
 

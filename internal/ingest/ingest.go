@@ -4,12 +4,12 @@
 // instrumentation (probes.Reconstruct), and merges it into a live
 // per-unit cross-input aggregate (profile.Accumulator).
 //
-// The store is sharded by fingerprint so uploads for different units
-// never contend, and within one unit the accumulator serializes merges
-// on a short O(profile) critical section — reconstruction, the
-// expensive step, runs outside every lock. Readers obtain aggregates
-// through epoch-swap snapshots: one atomic load while no new uploads
-// have landed.
+// The store's unit map sits behind one read-write lock that every
+// upload holds only for a map lookup; within one unit the accumulator
+// serializes merges on a short O(profile) critical section —
+// reconstruction, the expensive step, runs outside every lock. Readers
+// obtain aggregates through epoch-swap snapshots: one atomic load while
+// no new uploads have landed.
 //
 // Every upload is validated before it can touch an aggregate: the
 // fingerprint must name a registered unit, the vector length must match
@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -45,10 +44,6 @@ var (
 	// out-of-range escape records, or a profile the aggregate rejects).
 	ErrInvalid = errors.New("invalid upload")
 )
-
-// numShards stripes the unit map; uploads for different units hash to
-// independent locks.
-const numShards = 16
 
 // Upload is one fleet-collected sparse run.
 type Upload struct {
@@ -92,15 +87,11 @@ type unit struct {
 	seen map[string]struct{} // consumed upload IDs
 }
 
-type shard struct {
-	mu    sync.RWMutex
-	units map[string]*unit
-}
-
 // Store holds the live aggregates of every registered unit.
 type Store struct {
-	obs    *obs.Observer
-	shards [numShards]shard
+	obs  *obs.Observer
+	mu   sync.RWMutex
+	byFP map[string]*unit
 
 	uploads *obs.Counter
 	swaps   *obs.Counter
@@ -119,6 +110,7 @@ var rejectReasons = []string{"unknown_fingerprint", "invalid", "shape", "duplica
 func NewStore(o *obs.Observer) *Store {
 	s := &Store{
 		obs:     o,
+		byFP:    make(map[string]*unit),
 		uploads: o.Counter("ingest_uploads_total"),
 		swaps:   o.Counter("ingest_epoch_swaps_total"),
 		units:   o.Gauge("ingest_units"),
@@ -126,16 +118,7 @@ func NewStore(o *obs.Observer) *Store {
 	for _, reason := range rejectReasons {
 		o.Counter(obs.Labels("ingest_rejects_total", "reason", reason))
 	}
-	for i := range s.shards {
-		s.shards[i].units = make(map[string]*unit)
-	}
 	return s
-}
-
-func (s *Store) shard(fp string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return &s.shards[h.Sum32()%numShards]
 }
 
 // Register makes a unit ingestible: uploads for fp are reconstructed
@@ -143,13 +126,12 @@ func (s *Store) shard(fp string) *shard {
 // already-registered fingerprint is a no-op (compilation is
 // deterministic, so the existing plan is equivalent).
 func (s *Store) Register(fp, program string, plan *probes.Plan) {
-	sh := s.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.units[fp]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.byFP[fp]; ok {
 		return
 	}
-	sh.units[fp] = &unit{
+	s.byFP[fp] = &unit{
 		fp:      fp,
 		program: program,
 		plan:    plan,
@@ -161,29 +143,21 @@ func (s *Store) Register(fp, program string, plan *probes.Plan) {
 
 // Registered reports whether fp names a registered unit.
 func (s *Store) Registered(fp string) bool {
-	sh := s.shard(fp)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.units[fp]
+	_, ok := s.lookup(fp)
 	return ok
 }
 
 // Len returns the number of registered units.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].units)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.byFP)
 }
 
 func (s *Store) lookup(fp string) (*unit, bool) {
-	sh := s.shard(fp)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	u, ok := sh.units[fp]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	u, ok := s.byFP[fp]
 	return u, ok
 }
 
@@ -295,27 +269,24 @@ func (s *Store) MergeOrder(fp string) []string {
 // Stats lists every registered unit sorted by fingerprint.
 func (s *Store) Stats() []UnitStats {
 	var all []UnitStats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, u := range sh.units {
-			st := UnitStats{
-				Fingerprint: u.fp,
-				Program:     u.program,
-				Uploads:     u.acc.Uploads(),
-				NumProbes:   u.plan.NumProbes,
-			}
-			snap, swapped := u.acc.Snapshot()
-			if swapped {
-				s.swaps.Add(1)
-			}
-			if snap != nil {
-				st.Epoch = snap.Epoch
-			}
-			all = append(all, st)
+	s.mu.RLock()
+	for _, u := range s.byFP {
+		st := UnitStats{
+			Fingerprint: u.fp,
+			Program:     u.program,
+			Uploads:     u.acc.Uploads(),
+			NumProbes:   u.plan.NumProbes,
 		}
-		sh.mu.RUnlock()
+		snap, swapped := u.acc.Snapshot()
+		if swapped {
+			s.swaps.Add(1)
+		}
+		if snap != nil {
+			st.Epoch = snap.Epoch
+		}
+		all = append(all, st)
 	}
+	s.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].Fingerprint < all[j].Fingerprint })
 	return all
 }

@@ -3,6 +3,7 @@ package ingest_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -257,5 +258,93 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	}
 	if snap.Uploads != uploaders {
 		t.Fatalf("uploads = %d, want %d", snap.Uploads, uploaders)
+	}
+}
+
+// TestIngestConcurrentFingerprints drives the store's unit map from
+// many goroutines at once: 32 goroutines each Register the same 4
+// fingerprints and upload to all of them. Afterwards exactly 4 units
+// exist — in Len and in the ingest_units gauge, so a racing duplicate
+// Register never double-counts — and each unit's live aggregate equals
+// the offline profile.Aggregate of its own uploads in merge order.
+func TestIngestConcurrentFingerprints(t *testing.T) {
+	const units, uploaders = 4, 32
+	type target struct {
+		fp, name string
+		plan     *probes.Plan
+		byLabel  map[string]*profile.Profile
+		vecs     []*probes.Vector
+	}
+	targets := make([]*target, units)
+	for j := range targets {
+		src := strings.Replace(loopSrc, "i % 3", fmt.Sprintf("i %% %d", j+2), 1)
+		name := fmt.Sprintf("loop%d.c", j)
+		u, err := staticest.Compile(name, []byte(src))
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		tg := &target{fp: staticest.Fingerprint([]byte(src)), name: name, plan: u.PlanProbes(),
+			byLabel: make(map[string]*profile.Profile, uploaders)}
+		for i := 0; i < uploaders; i++ {
+			vec := sparseVec(t, u, tg.plan, fmt.Sprint(i+1))
+			rec, err := staticest.Reconstruct(tg.plan, vec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Label = fmt.Sprintf("g%d", i)
+			tg.byLabel[rec.Label] = rec
+			tg.vecs = append(tg.vecs, vec)
+		}
+		targets[j] = tg
+	}
+
+	o := obs.New()
+	st := ingest.NewStore(o)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < uploaders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			label := fmt.Sprintf("g%d", i)
+			for k := range targets {
+				tg := targets[(i+k)%units] // goroutines start on different units
+				st.Register(tg.fp, tg.name, tg.plan)
+				if _, err := st.Ingest(tg.fp, ingest.Upload{ID: label, Label: label, Vector: tg.vecs[i]}); err != nil {
+					t.Errorf("ingest %s into %s: %v", label, tg.name, err)
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if n := st.Len(); n != units {
+		t.Errorf("Len() = %d, want %d", n, units)
+	}
+	if g := o.Gauge("ingest_units").Value(); g != units {
+		t.Errorf("ingest_units gauge = %v, want %d", g, units)
+	}
+	for _, tg := range targets {
+		order := st.MergeOrder(tg.fp)
+		if len(order) != uploaders {
+			t.Fatalf("%s: merge order has %d entries, want %d", tg.name, len(order), uploaders)
+		}
+		ordered := make([]*profile.Profile, len(order))
+		for i, label := range order {
+			ordered[i] = tg.byLabel[label]
+		}
+		want, err := profile.Aggregate(ordered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := st.Snapshot(tg.fp)
+		if !ok {
+			t.Fatalf("%s: no snapshot", tg.name)
+		}
+		if diffs := staticest.DiffProfiles(want, snap.Profile); len(diffs) > 0 {
+			t.Fatalf("%s: live aggregate differs from offline merge-order aggregate: %v", tg.name, diffs[0])
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
-	"runtime"
 	"sync"
 	"time"
 
@@ -120,22 +119,21 @@ func encodeBody(v any) ([]byte, error) {
 }
 
 // unitCache is a bounded LRU of compiled units keyed by source
-// fingerprint, striped over N independently-locked shards so concurrent
-// cache hits on different units never serialize on one mutex. The
-// fingerprint is hex SHA-256, so its leading nibbles are uniformly
-// distributed and the shard index is just the fingerprint prefix
-// reduced mod the (power-of-two) shard count.
+// fingerprint, guarded by one mutex. The same lock guards the in-flight
+// compiles, which gives singleflight deduplication: when N requests for
+// the same uncached source arrive concurrently, exactly one compiles
+// and the other N-1 block on its result. Compile errors are returned to
+// every waiter but never cached — a retry recompiles.
 //
-// Each shard keeps the original cache's semantics for the keys it owns:
-// LRU eviction against a per-shard bound, and singleflight
-// deduplication — when N requests for the same uncached source arrive
-// concurrently, exactly one compiles and the other N-1 block on its
-// result. Identical fingerprints always land on the same shard, so
-// striping cannot split a flight. Compile errors are returned to every
-// waiter but never cached — a retry recompiles.
+// One lock is enough: a hit holds it for a map lookup and a list move,
+// well under a microsecond, against hundreds of microseconds of HTTP
+// and JSON work per request.
 type unitCache struct {
-	shards []*cacheShard
-	mask   uint32
+	mu      sync.Mutex
+	max     int
+	lru     list.List // front = most recently used; values are *compiled
+	byKey   map[string]*list.Element
+	flights map[string]*flight
 
 	// hitSeconds and compileSeconds split get's latency distribution by
 	// path: a cache hit is a map lookup (microseconds), a miss pays for
@@ -143,19 +141,8 @@ type unitCache struct {
 	// miss tail entirely. Flight waiters observe into compileSeconds:
 	// they did not compile, but their latency is compile latency.
 	// Nil histograms (tests building a bare cache) record nothing.
-	// Shared across shards (obs.Histogram is lock-free).
 	hitSeconds     *obs.Histogram
 	compileSeconds *obs.Histogram
-}
-
-// cacheShard is one stripe: a bounded LRU plus the in-flight compiles
-// for the fingerprints it owns.
-type cacheShard struct {
-	mu      sync.Mutex
-	max     int
-	lru     list.List // front = most recently used; values are *compiled
-	byKey   map[string]*list.Element
-	flights map[string]*flight
 }
 
 // flight is one in-progress compile; waiters block on done.
@@ -165,70 +152,16 @@ type flight struct {
 	err  error
 }
 
-// newUnitCache builds a cache bounded to max units striped over the
-// requested shard count. shards <= 0 picks the next power of two >=
-// GOMAXPROCS; any other value is rounded up to a power of two (the
-// shard index is a mask). The per-shard bound is ceil(max/shards) with
-// a floor of one unit, so the total bound is max rounded up to a
-// multiple of the shard count.
-func newUnitCache(max, shards int) *unitCache {
+// newUnitCache builds a cache holding at most max units (at least one).
+func newUnitCache(max int) *unitCache {
 	if max < 1 {
 		max = 1
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	return &unitCache{
+		max:     max,
+		byKey:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
 	}
-	n := nextPow2(shards)
-	perShard := (max + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	uc := &unitCache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
-	for i := range uc.shards {
-		uc.shards[i] = &cacheShard{
-			max:     perShard,
-			byKey:   make(map[string]*list.Element),
-			flights: make(map[string]*flight),
-		}
-	}
-	return uc
-}
-
-// nextPow2 returns the smallest power of two >= n.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// numShards returns the stripe count.
-func (uc *unitCache) numShards() int { return len(uc.shards) }
-
-// shardFor maps a fingerprint to its stripe by prefix: the first eight
-// hex characters fold into 32 bits, masked down to the shard index.
-// Equal keys always map to the same shard, which is what preserves
-// singleflight under striping. Non-hex bytes (ad-hoc test keys) still
-// spread via their low nibble.
-func (uc *unitCache) shardFor(key string) *cacheShard {
-	var v uint32
-	for i := 0; i < len(key) && i < 8; i++ {
-		v = v<<4 | uint32(hexNibble(key[i]))
-	}
-	return uc.shards[v&uc.mask]
-}
-
-func hexNibble(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10
-	}
-	return c & 0xf
 }
 
 // get returns the cached compilation for key, compiling with compile on
@@ -237,24 +170,23 @@ func hexNibble(c byte) byte {
 // in-flight compile report a hit, because no additional work happened.
 func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*compiled, bool, error) {
 	start := time.Now()
-	sh := uc.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
-		sh.lru.MoveToFront(el)
+	uc.mu.Lock()
+	if el, ok := uc.byKey[key]; ok {
+		uc.lru.MoveToFront(el)
 		c := el.Value.(*compiled)
-		sh.mu.Unlock()
+		uc.mu.Unlock()
 		uc.hitSeconds.ObserveSince(start)
 		return c, false, nil
 	}
-	if f, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
+	if f, ok := uc.flights[key]; ok {
+		uc.mu.Unlock()
 		<-f.done
 		uc.compileSeconds.ObserveSince(start)
 		return f.c, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	sh.flights[key] = f
-	sh.mu.Unlock()
+	uc.flights[key] = f
+	uc.mu.Unlock()
 
 	unit, err := compile()
 	if err == nil {
@@ -262,25 +194,25 @@ func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*
 	}
 	f.err = err
 
-	sh.mu.Lock()
-	delete(sh.flights, key)
+	uc.mu.Lock()
+	delete(uc.flights, key)
 	if err == nil {
-		sh.insertLocked(key, f.c)
+		uc.insertLocked(key, f.c)
 	}
-	sh.mu.Unlock()
+	uc.mu.Unlock()
 	close(f.done)
 	uc.compileSeconds.ObserveSince(start)
 	return f.c, true, err
 }
 
 // insertLocked adds a fresh entry and evicts from the cold end past the
-// shard's bound.
-func (sh *cacheShard) insertLocked(key string, c *compiled) {
-	sh.byKey[key] = sh.lru.PushFront(c)
-	for sh.lru.Len() > sh.max {
-		el := sh.lru.Back()
-		sh.lru.Remove(el)
-		delete(sh.byKey, el.Value.(*compiled).fingerprint)
+// bound.
+func (uc *unitCache) insertLocked(key string, c *compiled) {
+	uc.byKey[key] = uc.lru.PushFront(c)
+	for uc.lru.Len() > uc.max {
+		el := uc.lru.Back()
+		uc.lru.Remove(el)
+		delete(uc.byKey, el.Value.(*compiled).fingerprint)
 	}
 }
 
@@ -289,23 +221,18 @@ func (sh *cacheShard) insertLocked(key string, c *compiled) {
 // (profile ingest) use it: they can only refer to sources the server
 // has already seen.
 func (uc *unitCache) lookup(key string) (*compiled, bool) {
-	sh := uc.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.byKey[key]; ok {
-		sh.lru.MoveToFront(el)
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	if el, ok := uc.byKey[key]; ok {
+		uc.lru.MoveToFront(el)
 		return el.Value.(*compiled), true
 	}
 	return nil, false
 }
 
-// len returns the number of cached units across all shards.
+// len returns the number of cached units.
 func (uc *unitCache) len() int {
-	n := 0
-	for _, sh := range uc.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	return uc.lru.Len()
 }

@@ -1,16 +1,15 @@
 package server
 
-// White-box concurrency suite for the sharded unit cache. Everything
-// here is meant to run under -race: the tests drive the cache the way a
+// White-box concurrency suite for the unit cache. Everything here is
+// meant to run under -race: the tests drive the cache the way a
 // saturated server does — many goroutines, mixed hit/miss/evict
 // traffic, identical keys racing into one flight — and then assert the
-// invariants that striping must preserve: per-shard LRU bounds,
+// cache's invariants: an exact LRU bound, recency-ordered eviction,
 // exactly-once compilation per key, and byte-identical memoized bodies.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,11 +17,9 @@ import (
 	"staticest"
 )
 
-// fakeKey fabricates a fingerprint-shaped hex key whose leading
-// characters vary (shardFor routes on the prefix), so consecutive ids
-// spread across shards the way real SHA-256 fingerprints do.
+// fakeKey fabricates a distinct fingerprint-shaped hex key per id.
 func fakeKey(id int) string {
-	return fmt.Sprintf("%08x%056x", uint32(id)*2654435761, id)
+	return fmt.Sprintf("%064x", id)
 }
 
 // compileStub returns a distinct dummy unit per call; cache tests never
@@ -34,52 +31,11 @@ func compileStub(calls *atomic.Int64) func() (*staticest.Unit, error) {
 	}
 }
 
-// TestCacheShardDefaults pins the shard-count policy: explicit counts
-// round up to a power of two, and the default follows GOMAXPROCS.
-func TestCacheShardDefaults(t *testing.T) {
-	for _, tc := range []struct{ shards, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		if got := newUnitCache(64, tc.shards).numShards(); got != tc.want {
-			t.Errorf("newUnitCache(64, %d): %d shards, want %d", tc.shards, got, tc.want)
-		}
-	}
-	want := nextPow2(runtime.GOMAXPROCS(0))
-	if got := newUnitCache(64, 0).numShards(); got != want {
-		t.Errorf("default shards = %d, want nextPow2(GOMAXPROCS) = %d", got, want)
-	}
-}
-
-// TestCacheShardAffinity pins the property singleflight depends on:
-// the same key always maps to the same shard.
-func TestCacheShardAffinity(t *testing.T) {
-	uc := newUnitCache(64, 8)
-	for i := 0; i < 256; i++ {
-		key := fakeKey(i)
-		first := uc.shardFor(key)
-		for j := 0; j < 4; j++ {
-			if uc.shardFor(key) != first {
-				t.Fatalf("key %q mapped to different shards across calls", key)
-			}
-		}
-	}
-	// And real-shaped keys actually spread: 256 distinct keys over 8
-	// shards should never collapse onto one stripe.
-	seen := map[*cacheShard]bool{}
-	for i := 0; i < 256; i++ {
-		seen[uc.shardFor(fakeKey(i))] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("256 keys landed on %d shard(s); striping is not spreading", len(seen))
-	}
-}
-
-// TestCacheSingleflightSharded is the exactly-once contract under
-// striping: 32 goroutines requesting the same uncached key race into
-// one flight — one compile, one miss leader, and every caller gets the
-// same *compiled.
-func TestCacheSingleflightSharded(t *testing.T) {
-	uc := newUnitCache(64, 8)
+// TestCacheSingleflight is the exactly-once contract: 32 goroutines
+// requesting the same uncached key race into one flight — one compile,
+// one miss leader, and every caller gets the same *compiled.
+func TestCacheSingleflight(t *testing.T) {
+	uc := newUnitCache(64)
 	key := fakeKey(42)
 
 	const n = 32
@@ -123,7 +79,7 @@ func TestCacheSingleflightSharded(t *testing.T) {
 // to every waiter of its flight but never inserted: the next get for
 // the same key recompiles.
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	uc := newUnitCache(64, 4)
+	uc := newUnitCache(64)
 	key := fakeKey(7)
 	boom := errors.New("boom")
 
@@ -143,74 +99,127 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheShardEviction proves the per-shard LRU bound: a cache of 8
-// units over 4 shards holds at most 2 per shard, so flooding one shard
-// with fresh keys evicts that shard's cold entries while other shards
-// keep theirs.
-func TestCacheShardEviction(t *testing.T) {
-	uc := newUnitCache(8, 4)
-	perShard := uc.shards[0].max
-	if perShard != 2 {
-		t.Fatalf("per-shard bound = %d, want 2 (8 units / 4 shards)", perShard)
-	}
+// TestCacheBoundExact pins that Config.CacheSize is an exact bound:
+// several goroutines flood the cache with four times as many distinct
+// keys as it may hold, and no observer — a flooding goroutine after
+// its own insert, or a concurrent poller — ever sees more than
+// CacheSize units resident.
+func TestCacheBoundExact(t *testing.T) {
+	for _, size := range []int{1, 3, 64} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			uc := New(Config{CacheSize: size}).cache
+			const floods = 4
+			keys := 4 * size
+			var calls, over atomic.Int64 // over: last resident count seen above size
+			observe := func() {
+				if n := uc.len(); n > size {
+					over.Store(int64(n))
+				}
+			}
 
-	// Bucket fabricated keys by the shard they map to until one shard
-	// has twice its bound.
-	target := uc.shardFor(fakeKey(0))
-	var targetKeys, otherKeys []string
-	for i := 0; len(targetKeys) < 2*perShard || len(otherKeys) == 0; i++ {
-		key := fakeKey(i)
-		if uc.shardFor(key) == target {
-			targetKeys = append(targetKeys, key)
-		} else if len(otherKeys) == 0 {
-			otherKeys = append(otherKeys, key)
-		}
-	}
+			stop := make(chan struct{})
+			polled := make(chan struct{})
+			go func() {
+				defer close(polled)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						observe()
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for g := 0; g < floods; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < keys; i += floods {
+						if _, _, err := uc.get(fakeKey(i), compileStub(&calls)); err != nil {
+							t.Error(err)
+							return
+						}
+						observe()
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(stop)
+			<-polled
+			observe()
 
+			if n := over.Load(); n != 0 {
+				t.Errorf("cache held %d units, want <= CacheSize %d", n, size)
+			}
+			if n := uc.len(); n != size {
+				t.Errorf("cache holds %d units after the flood, want exactly %d", n, size)
+			}
+			if calls.Load() != int64(keys) {
+				t.Errorf("compiled %d times, want %d (one per distinct key)", calls.Load(), keys)
+			}
+		})
+	}
+}
+
+// TestCacheLRURecency pins that eviction follows recency of use, not
+// insertion order: keys refreshed through get or lookup survive a flood
+// that evicts the older, untouched keys.
+func TestCacheLRURecency(t *testing.T) {
+	const size = 8
+	uc := newUnitCache(size)
 	var calls atomic.Int64
-	for _, key := range append(otherKeys, targetKeys...) {
-		if _, _, err := uc.get(key, compileStub(&calls)); err != nil {
+	old := make([]string, size)
+	for i := range old {
+		old[i] = fakeKey(i)
+		if _, _, err := uc.get(old[i], compileStub(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	target.mu.Lock()
-	got := target.lru.Len()
-	target.mu.Unlock()
-	if got > perShard {
-		t.Errorf("flooded shard holds %d units, want <= %d", got, perShard)
+	// Refresh the two oldest keys through get and the next two through
+	// lookup; old[4:] stay untouched.
+	for _, key := range old[:2] {
+		if _, missed, err := uc.get(key, compileStub(&calls)); err != nil || missed {
+			t.Fatalf("refresh get %q: missed=%v err=%v", key, missed, err)
+		}
 	}
-	// The other shard was untouched by the flood: its entry survives.
-	if _, ok := uc.lookup(otherKeys[0]); !ok {
-		t.Error("entry on a different shard was evicted by the flood")
-	}
-	// LRU within the shard: the newest keys are resident, the oldest
-	// were evicted.
-	for _, key := range targetKeys[len(targetKeys)-perShard:] {
+	for _, key := range old[2:4] {
 		if _, ok := uc.lookup(key); !ok {
-			t.Errorf("recently-inserted key %q missing from its shard", key)
+			t.Fatalf("refresh lookup %q: not resident", key)
 		}
 	}
-	for _, key := range targetKeys[:len(targetKeys)-perShard] {
-		if _, ok := uc.lookup(key); ok {
-			t.Errorf("cold key %q should have been evicted", key)
+
+	// Four fresh keys push out exactly the four least recently used.
+	for i := 0; i < size-4; i++ {
+		if _, _, err := uc.get(fakeKey(100+i), compileStub(&calls)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, key := range old[:4] {
+		if _, ok := uc.lookup(key); !ok {
+			t.Errorf("refreshed key %q was evicted", key)
+		}
+	}
+	for _, key := range old[4:] {
+		if _, ok := uc.lookup(key); ok {
+			t.Errorf("untouched key %q survived; it was least recently used", key)
+		}
+	}
+	if calls.Load() != size+(size-4) {
+		t.Errorf("compiled %d times, want %d (refreshes are hits)", calls.Load(), size+(size-4))
 	}
 }
 
 // TestCacheConcurrentMixed is the 64-goroutine soak: mixed hit / miss /
-// evict traffic across every shard of a deliberately small cache, so
-// insertions, evictions, LRU bumps, and flights all interleave. Run
-// under -race this is the data-race proof for the striped cache; the
-// assertions pin the invariants that must survive the chaos — the
-// total bound holds, hot keys compile exactly once each, and every get
-// observes a usable result.
+// evict traffic against a deliberately small cache, so insertions,
+// evictions, LRU bumps, and flights all interleave. Run under -race
+// this is the data-race proof for the cache; the assertions pin the
+// invariants that must survive the chaos — the bound holds, hot keys
+// compile at least once, and every get observes a usable result.
 func TestCacheConcurrentMixed(t *testing.T) {
-	uc := newUnitCache(16, 4)
-	bound := 0
-	for _, sh := range uc.shards {
-		bound += sh.max
-	}
+	const bound = 16
+	uc := newUnitCache(bound)
 
 	// 8 hot keys are requested by every goroutine (hits + flights);
 	// cold keys are unique per iteration (misses + evictions).
@@ -262,11 +271,8 @@ func TestCacheConcurrentMixed(t *testing.T) {
 	if n := uc.len(); n > bound {
 		t.Errorf("cache holds %d units, want <= %d", n, bound)
 	}
-	// Hot keys may be evicted by cold floods on their shard and then
-	// recompiled — but a hot key that was never evicted must have
-	// compiled exactly once. The aggregate check: every hot key
-	// compiled at least once and (with 16 slots for 8 hot keys plus
-	// transient cold traffic) none thrashed unboundedly.
+	// Hot keys may be evicted by cold floods and then recompiled, so
+	// the aggregate check is that every hot key compiled at least once.
 	for i := range hot {
 		if hotCalls[i].Load() < 1 {
 			t.Errorf("hot key %d never compiled", i)

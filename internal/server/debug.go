@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -17,7 +16,7 @@ import (
 
 // This file is the server's ops surface: request identity, the slow-
 // request ring, GET /v1/debug/status, GET /v1/debug/slow, and the
-// runtime collector behind the runtime_* gauges.
+// sampler behind the runtime_* gauges.
 
 // --- request identity -------------------------------------------------------
 
@@ -117,31 +116,31 @@ type slowEntry struct {
 	capture *obs.SpanCapture
 }
 
+// slowRingSize is how many of the slowest requests GET /v1/debug/slow
+// retains.
+const slowRingSize = 16
+
 // slowRing keeps the K slowest requests seen, sorted slowest-first.
-// offer is O(K) worst case with K small (Config.SlowRingSize, default
-// 16) and returns in O(1) for the common request that is faster than
-// everything retained.
+// offer is O(K) worst case with K small (slowRingSize) and returns in
+// O(1) for the common request that is faster than everything retained.
 type slowRing struct {
 	mu      sync.Mutex
-	max     int
 	entries []slowEntry
 }
-
-func newSlowRing(max int) *slowRing { return &slowRing{max: max} }
 
 // offer proposes a finished request for retention.
 func (sr *slowRing) offer(e slowEntry) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if len(sr.entries) >= sr.max && e.DurUS <= sr.entries[len(sr.entries)-1].DurUS {
+	if len(sr.entries) >= slowRingSize && e.DurUS <= sr.entries[len(sr.entries)-1].DurUS {
 		return
 	}
 	i := sort.Search(len(sr.entries), func(i int) bool { return sr.entries[i].DurUS < e.DurUS })
 	sr.entries = append(sr.entries, slowEntry{})
 	copy(sr.entries[i+1:], sr.entries[i:])
 	sr.entries[i] = e
-	if len(sr.entries) > sr.max {
-		sr.entries = sr.entries[:sr.max]
+	if len(sr.entries) > slowRingSize {
+		sr.entries = sr.entries[:slowRingSize]
 	}
 }
 
@@ -209,7 +208,7 @@ type SlowResponse struct {
 }
 
 func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
-	resp := &SlowResponse{Capacity: s.cfg.SlowRingSize, Requests: []SlowRequest{}}
+	resp := &SlowResponse{Capacity: slowRingSize, Requests: []SlowRequest{}}
 	for _, e := range s.slow.snapshot() {
 		resp.Requests = append(resp.Requests, SlowRequest{
 			ReqID:    e.ReqID,
@@ -227,7 +226,6 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
 // CacheStatus summarizes the compiled-unit cache.
 type CacheStatus struct {
 	Units    int         `json:"units"`
-	Shards   int         `json:"shards"`
 	Hits     int64       `json:"hits"`
 	Misses   int64       `json:"misses"`
 	HitRatio float64     `json:"hit_ratio"`
@@ -282,7 +280,6 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Cache: CacheStatus{
 			Units:    s.cache.len(),
-			Shards:   s.cache.numShards(),
 			Hits:     hits,
 			Misses:   misses,
 			HitRatio: ratio,
@@ -331,13 +328,12 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// --- runtime collector ------------------------------------------------------
+// --- runtime gauges ---------------------------------------------------------
 
 // sampleRuntime refreshes the runtime_* gauges from the Go runtime.
-// Called synchronously by /metrics and /v1/debug/status (scrape-fresh
-// values) and periodically by runtimeCollector while Serve runs (so a
-// trace Flush or an exposition dump between scrapes still carries
-// recent values).
+// /metrics and /v1/debug/status call it per scrape, and Serve once on
+// return, so every exposition carries current values without a
+// background ticker.
 func (s *Server) sampleRuntime() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -346,19 +342,4 @@ func (s *Server) sampleRuntime() {
 	s.obs.Gauge("runtime_heap_sys_bytes").Set(float64(ms.HeapSys))
 	s.obs.Gauge("runtime_gc_runs_total").Set(float64(ms.NumGC))
 	s.obs.Gauge("runtime_gc_pause_seconds_total").Set(float64(ms.PauseTotalNs) / 1e9)
-}
-
-// runtimeCollector samples the runtime gauges every
-// Config.RuntimeSampleInterval until ctx is cancelled.
-func (s *Server) runtimeCollector(ctx context.Context) {
-	t := time.NewTicker(s.cfg.RuntimeSampleInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.sampleRuntime()
-		}
-	}
 }

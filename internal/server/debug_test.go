@@ -230,7 +230,7 @@ func TestDebugStatus(t *testing.T) {
 // /v1/debug/slow returns their span trees, slowest first, each rooted
 // at the endpoint's server span with the compile under it.
 func TestDebugSlow(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{SlowRingSize: 4})
+	_, ts := newTestServer(t, server.Config{})
 	body := `{"source":` + jsonString(strchrSrc) + `}`
 	if status, b := post(t, ts.URL+"/v1/estimate", body); status != 200 {
 		t.Fatalf("estimate: %d %s", status, b)
@@ -245,8 +245,8 @@ func TestDebugSlow(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&slow); err != nil {
 		t.Fatal(err)
 	}
-	if slow.Capacity != 4 {
-		t.Errorf("capacity = %d, want 4", slow.Capacity)
+	if slow.Capacity != 16 {
+		t.Errorf("capacity = %d, want 16", slow.Capacity)
 	}
 	if len(slow.Requests) == 0 {
 		t.Fatal("slow ring is empty after a served request")

@@ -50,11 +50,6 @@ import (
 type Config struct {
 	// CacheSize bounds the compiled-unit LRU (default 64 units).
 	CacheSize int
-	// CacheShards stripes the unit cache over independently-locked LRU
-	// shards. Values are rounded up to a power of two; <= 0 picks the
-	// next power of two >= GOMAXPROCS. One shard reproduces the old
-	// single-mutex cache exactly.
-	CacheShards int
 	// MaxBatchItems caps the item count of one POST /v1/batch request;
 	// larger batches get 413 (default 256).
 	MaxBatchItems int
@@ -79,19 +74,6 @@ type Config struct {
 	// MaxSteps bounds each served interpreter run's block executions
 	// (default 50 million; the interpreter's own default is 200M).
 	MaxSteps int64
-	// Engine selects the interpreter engine for served runs. The zero
-	// value is the bytecode engine; staticest.EngineTree forces the
-	// reference tree-walking evaluator (an escape hatch for comparing
-	// engines over HTTP — both produce byte-identical responses).
-	Engine staticest.Engine
-	// SlowRingSize bounds the ring of slowest requests whose span trees
-	// are retained for GET /v1/debug/slow (default 16).
-	SlowRingSize int
-	// RuntimeSampleInterval paces the background runtime collector that
-	// refreshes the runtime_* gauges while Serve runs; /metrics and
-	// /v1/debug/status also refresh them synchronously per scrape
-	// (default 10s).
-	RuntimeSampleInterval time.Duration
 	// Obs is the observability domain. The server requires one — its
 	// cache counters and /metrics exposition are part of the API — so
 	// a nil Obs means "create a private Observer", not "disable".
@@ -122,12 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 50_000_000
-	}
-	if c.SlowRingSize <= 0 {
-		c.SlowRingSize = 16
-	}
-	if c.RuntimeSampleInterval <= 0 {
-		c.RuntimeSampleInterval = 10 * time.Second
 	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
@@ -173,7 +149,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    newUnitCache(cfg.CacheSize, cfg.CacheShards),
+		cache:    newUnitCache(cfg.CacheSize),
 		ingest:   ingest.NewStore(cfg.Obs),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
@@ -184,7 +160,7 @@ func New(cfg Config) *Server {
 
 		batchItems:      cfg.Obs.Counter("server_batch_items_total"),
 		batchItemErrors: cfg.Obs.Counter("server_batch_item_errors_total"),
-		slow:            newSlowRing(cfg.SlowRingSize),
+		slow:            &slowRing{},
 		started:         time.Now(),
 	}
 	s.cache.hitSeconds = cfg.Obs.Histogram("server_cache_hit_seconds")
@@ -446,12 +422,14 @@ func (s *Server) compileCached(ctx context.Context, name string, src []byte) (*c
 // Serve accepts connections on ln until ctx is cancelled, then drains:
 // in-flight requests get up to Config.DrainTimeout to complete before
 // the listener's goroutines are torn down. A clean drain returns nil.
+// The runtime_* gauges are sampled once more on return, so an exit-time
+// exposition dump or trace flush carries current values.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	defer s.sampleRuntime()
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	go s.runtimeCollector(ctx)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

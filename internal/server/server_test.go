@@ -172,14 +172,12 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestCacheEviction pins the LRU bound: with a one-unit, one-shard
+// TestCacheEviction pins the LRU bound end to end: with a one-unit
 // cache, a second source evicts the first, so re-requesting the first
-// recompiles. (CacheShards is pinned to 1 so the two sources contend
-// for the same shard's single slot regardless of GOMAXPROCS; the
-// per-shard bound under striping is covered in cache_test.go.)
+// recompiles.
 func TestCacheEviction(t *testing.T) {
 	o := obs.New()
-	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 1, CacheShards: 1})
+	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 1})
 
 	src2 := strings.Replace(strchrSrc, "my_strchr", "my_strchr2", -1)
 	reqA := `{"source":` + jsonString(strchrSrc) + `}`

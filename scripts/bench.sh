@@ -93,9 +93,10 @@ bench_family() {
 
 interp_filter=${BENCH_FILTER:-'InterpretCompress|EstimateLargeFunc|EstimateDeepNest|InlineXlisp|ProbeProfiling|ReuseTrace|Obs(Disabled|Enabled)|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
 serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$'}
-# The serve family runs at GOMAXPROCS 8 so the parallel cache-scaling
-# benchmarks (ServeEstimateParallel) actually fan out; serial serve
-# benchmarks are single-request loops and are unaffected by extra Ps.
+# The serve family runs at GOMAXPROCS 8, as every earlier snapshot did,
+# so the BENCH_serve.json trajectory stays comparable; it also makes
+# ServeEstimateParallel's goroutines contend on the cache lock. Serial
+# serve benchmarks are single-request loops, unaffected by extra Ps.
 serve_cpu=${BENCH_SERVE_CPU:-8}
 
 bench_family "$interp_filter" "${BENCH_OUT:-BENCH_interp.json}" . ./internal/obs
