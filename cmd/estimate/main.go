@@ -33,6 +33,7 @@ import (
 	"staticest/internal/cliutil"
 	"staticest/internal/core"
 	"staticest/internal/eval"
+	"staticest/internal/reuse"
 )
 
 func main() {
@@ -138,30 +139,19 @@ func runReuse(path string, kinds []string, top int, o *staticest.Observer) error
 		if err != nil {
 			return err
 		}
-		total := p.Accesses()
+		sum := reuse.Summarize(tab, p)
 		fmt.Printf("== reuse-distance estimate (%s): %d refs, %.0f accesses ==\n",
-			kind, len(tab.Refs), total)
-		if total > 0 {
+			kind, len(tab.Refs), sum.Accesses)
+		if sum.Accesses > 0 {
 			fmt.Printf("  cold %.1f%%  median distance %.0f  p90 %.0f\n",
-				100*p.Total.Cold()/total, p.Total.Quantile(0.5), p.Total.Quantile(0.9))
+				100*sum.ColdFrac, sum.Median, sum.P90)
 		}
-		type refRow struct {
-			i int
-			v float64
-		}
-		rows := make([]refRow, len(tab.Refs))
-		for i := range tab.Refs {
-			rows[i] = refRow{i, p.PerRef[i].Total()}
-		}
-		sort.SliceStable(rows, func(a, b int) bool { return rows[a].v > rows[b].v })
-		for i, r := range rows {
-			if i >= top || r.v <= 0 {
+		for i, r := range sum.Hottest {
+			if i >= top {
 				break
 			}
-			ref := &tab.Refs[r.i]
-			h := &p.PerRef[r.i]
 			fmt.Printf("  %-32s accesses %10.0f  footprint %6.0f  median %8.0f\n",
-				ref.Name(), r.v, ref.Footprint, h.Quantile(0.5))
+				r.Ref.Name(), r.Accesses, r.Ref.Footprint, r.Median)
 		}
 		fmt.Println()
 	}
@@ -178,29 +168,13 @@ func run(path, intra, inter, fnName string, top int, o *staticest.Observer) erro
 		return err
 	}
 	est := u.Estimate()
-
-	pickIntra := func(i int) *core.IntraResult {
-		switch intra {
-		case "loop":
-			return est.IntraLoop[i]
-		case "markov":
-			return est.IntraMarkov[i]
-		default:
-			return est.IntraSmart[i]
-		}
+	blocks, err := est.Intra(intra)
+	if err != nil {
+		return err
 	}
-	var inv []float64
-	switch inter {
-	case "call_site":
-		inv = est.Inter.CallSite
-	case "direct":
-		inv = est.Inter.Direct
-	case "all_rec":
-		inv = est.Inter.AllRec
-	case "all_rec2":
-		inv = est.Inter.AllRec2
-	default:
-		inv = est.InterMarkov.Inv
+	inv, err := est.Invocations(inter)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("== function invocation estimates (%s) ==\n", inter)
@@ -225,7 +199,7 @@ func run(path, intra, inter, fnName string, top int, o *staticest.Observer) erro
 		if fnName != "" && fd.Name() != fnName {
 			continue
 		}
-		res := pickIntra(i)
+		res := blocks[i]
 		fmt.Printf("%s:\n", fd.Name())
 		g := u.CFG.Graphs[i]
 		for _, blk := range g.Blocks {
@@ -233,11 +207,10 @@ func run(path, intra, inter, fnName string, top int, o *staticest.Observer) erro
 		}
 	}
 
-	fmt.Printf("\n== hottest call sites (%s x %s, indirect sites excluded) ==\n", intra, inter)
-	siteFreq := est.SiteFreqMarkov
-	if inter != "markov" {
-		siteFreq = est.SiteFreqDirect
-	}
+	// Per-entry site frequencies are always smart (Estimates.SiteLocal);
+	// -intra only selects the block listing above.
+	fmt.Printf("\n== hottest call sites (smart x %s, indirect sites excluded) ==\n", inter)
+	siteFreq := core.SiteGlobalFreq(u.Call, est.SiteLocal, inv)
 	type siteRow struct {
 		desc string
 		v    float64

@@ -26,7 +26,6 @@ import (
 	"staticest/internal/cliutil"
 	"staticest/internal/eval"
 	"staticest/internal/opt"
-	"staticest/internal/profile"
 	"staticest/internal/suite"
 	"staticest/internal/texttab"
 )
@@ -97,12 +96,11 @@ func run(progName, sourceKind, report string, budget int) error {
 	if err != nil {
 		return err
 	}
-	self, err := profile.Aggregate(d.Profiles)
+	selfSrc, err := eval.FreqSource(d.Unit, d.Est, d.Profiles, "profile")
 	if err != nil {
 		return err
 	}
-	selfSrc := d.Unit.ProfileFreqSource(self, "profile")
-	src, err := buildSource(d, self, sourceKind)
+	src, err := eval.FreqSource(d.Unit, d.Est, d.Profiles, sourceKind)
 	if err != nil {
 		return err
 	}
@@ -127,25 +125,6 @@ func run(progName, sourceKind, report string, budget int) error {
 		fmt.Println(eval.RenderOptReport(rows))
 	}
 	return nil
-}
-
-// buildSource resolves a source name against one program's data.
-func buildSource(d *eval.ProgramData, self *profile.Profile, kind string) (*opt.Source, error) {
-	switch kind {
-	case "profile":
-		return d.Unit.ProfileFreqSource(self, "profile"), nil
-	case "xprof":
-		xp := self
-		if len(d.Profiles) > 1 {
-			var err error
-			if xp, err = profile.Aggregate(d.Profiles[1:]); err != nil {
-				return nil, err
-			}
-		}
-		return d.Unit.ProfileFreqSource(xp, "xprof"), nil
-	default:
-		return opt.EstimateSource(d.Unit.CFG, d.Est, kind)
-	}
 }
 
 // inlineReport plans, applies, re-profiles, and verifies inlining.
@@ -201,38 +180,29 @@ func inlineReport(d *eval.ProgramData, src *opt.Source, budget int) error {
 // layout; function ordering is scored by weighted call distance.
 func layoutReport(d *eval.ProgramData, src, selfSrc *opt.Source) {
 	u := d.Unit
+	cmp := opt.CompareLayouts(u.CFG, u.Call, selfSrc, u.Observer(), src)
+	ch := cmp.Choices[0]
 	fmt.Printf("== layout: %s, source %s ==\n", d.Prog.Name, src.Name)
 	t := texttab.New("layout", "fallthru%", "transfers").AlignRight(1, 2)
 	for _, c := range []struct {
-		name string
-		lay  *opt.Layout
+		name  string
+		score opt.LayoutScore
 	}{
-		{"src-order", opt.SourceOrderLayout(u.CFG)},
-		{src.Name, opt.ComputeLayout(u.CFG, src, u.Observer())},
-		{"profile", opt.ComputeLayout(u.CFG, selfSrc, u.Observer())},
+		{"src-order", cmp.SourceOrder},
+		{src.Name, ch.Score},
+		{"profile", cmp.Reference},
 	} {
-		rate, _, total := opt.FallThroughRate(u.CFG, c.lay, selfSrc)
-		t.Row(c.name, fmt.Sprintf("%.1f", rate*100), fmt.Sprintf("%.0f", total))
+		t.Row(c.name, fmt.Sprintf("%.1f", c.score.Rate*100), fmt.Sprintf("%.0f", c.score.Total))
 	}
 	fmt.Print(t.String())
 
-	order := opt.FuncOrder(u.Call, src)
-	names := make([]string, 0, len(order))
-	for _, fi := range order {
+	names := make([]string, 0, len(ch.FuncOrder))
+	for _, fi := range ch.FuncOrder {
 		names = append(names, u.Call.FuncName(fi))
 	}
 	fmt.Printf("\nfunction order (%s): %s\n", src.Name, strings.Join(names, " "))
 	fmt.Printf("weighted call distance: %.0f (source) vs %.0f (identity)\n\n",
-		opt.WeightedCallDistance(order, u.Call, selfSrc),
-		opt.WeightedCallDistance(identity(len(order)), u.Call, selfSrc))
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+		ch.CallDistance, cmp.IdentityCallDistance)
 }
 
 // spillReport ranks variables by frequency-weighted use count under the
@@ -240,41 +210,21 @@ func identity(n int) []int {
 func spillReport(d *eval.ProgramData, src, selfSrc *opt.Source) {
 	u := d.Unit
 	fmt.Printf("== spill weights: %s, source %s ==\n", d.Prog.Name, src.Name)
-	type frow struct {
-		fi   int
-		tau  float64
-		vars int
-	}
-	var rows []frow
-	for fi := range u.Sem.Funcs {
-		if selfSrc.Func[fi] == 0 {
-			continue
-		}
-		ws := opt.SpillWeights(u.CFG, fi, src)
-		wp := opt.SpillWeights(u.CFG, fi, selfSrc)
-		if len(ws) < 2 {
-			continue
-		}
-		a := make([]float64, len(ws))
-		b := make([]float64, len(ws))
-		for i := range ws {
-			a[i], b[i] = ws[i].Weight, wp[i].Weight
-		}
-		rows = append(rows, frow{fi, opt.KendallTau(a, b), len(ws)})
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		return selfSrc.Func[rows[a].fi] > selfSrc.Func[rows[b].fi]
+	pairs := opt.SpillPairs(u.CFG, src, selfSrc)
+	sort.Slice(pairs, func(a, b int) bool {
+		return selfSrc.Func[pairs[a].Func] > selfSrc.Func[pairs[b].Func]
 	})
 	t := texttab.New("function", "invocations", "vars", "rank tau").AlignRight(1, 2, 3)
 	var sum float64
-	for _, r := range rows {
-		t.Row(u.Call.FuncName(r.fi), fmt.Sprintf("%.0f", selfSrc.Func[r.fi]),
-			r.vars, fmt.Sprintf("%.2f", r.tau))
-		sum += r.tau
+	for _, p := range pairs {
+		tau := p.Tau()
+		t.Row(u.Call.FuncName(p.Func), fmt.Sprintf("%.0f", selfSrc.Func[p.Func]),
+			len(p.Src), fmt.Sprintf("%.2f", tau))
+		sum += tau
 	}
 	fmt.Print(t.String())
-	if len(rows) > 0 {
+	if len(pairs) > 0 {
 		fmt.Printf("mean ranking tau vs profile: %.2f over %d functions\n\n",
-			sum/float64(len(rows)), len(rows))
+			sum/float64(len(pairs)), len(pairs))
 	}
 }

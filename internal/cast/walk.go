@@ -138,25 +138,6 @@ func WalkFuncExprs(fd *FuncDecl, fn func(Expr) bool) {
 	})
 }
 
-// Calls returns every call expression in the function body, in source
-// order.
-func Calls(fd *FuncDecl) []*Call {
-	var out []*Call
-	WalkFuncExprs(fd, func(e Expr) bool {
-		if c, ok := e.(*Call); ok {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
-// ContainsCallTo reports whether any call in the statement subtree
-// targets a function whose name satisfies pred.
-func ContainsCallTo(s Stmt, pred func(name string) bool) bool {
-	return ContainsCallMatching(s, func(o *Object) bool { return pred(o.Name) })
-}
-
 // ContainsCallMatching reports whether any direct call in the statement
 // subtree targets a function object satisfying pred.
 func ContainsCallMatching(s Stmt, pred func(*Object) bool) bool {

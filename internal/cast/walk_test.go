@@ -89,19 +89,6 @@ func typeOf(v any) string {
 	}
 }
 
-func TestCalls(t *testing.T) {
-	f := parse(t, `
-int h(int x) { return x; }
-int g(int x) {
-	if (h(x)) return h(x + h(1));
-	return 0;
-}`)
-	calls := cast.Calls(f.Funcs[1])
-	if len(calls) != 3 {
-		t.Errorf("%d calls, want 3", len(calls))
-	}
-}
-
 func TestContainsHelpers(t *testing.T) {
 	f := parse(t, `
 void fail(void) { }
@@ -110,19 +97,12 @@ int g(int x) {
 	if (x > 1) { return 2; }
 	return 0;
 }`)
-	// ContainsCallTo resolves callees through bound objects.
 	if _, err := sem.Analyze(f); err != nil {
 		t.Fatal(err)
 	}
 	g := f.Funcs[1]
 	if1 := g.Body.Stmts[0].(*cast.If)
 	if2 := g.Body.Stmts[1].(*cast.If)
-	if !cast.ContainsCallTo(if1.Then, func(n string) bool { return n == "fail" }) {
-		t.Error("fail call not found")
-	}
-	if cast.ContainsCallTo(if2.Then, func(n string) bool { return n == "fail" }) {
-		t.Error("phantom call found")
-	}
 	if cast.ContainsReturn(if1.Then) {
 		t.Error("phantom return found")
 	}

@@ -484,3 +484,50 @@ int main(void) { return fp(10); }`)
 		check("IntraMarkov", u.est.IntraMarkov[f].BlockFreq)
 	}
 }
+
+// TestEstimatorNames pins the name accessors to the vectors they name:
+// every intra and invocation estimator, the three ladder rungs, and an
+// error for an unknown name.
+func TestEstimatorNames(t *testing.T) {
+	e := compile(t, `int f(int n) { if (n < 2) return n; return f(n - 1); }
+int main(void) { return f(5); }`).est
+	same := func(a, b []float64) bool { return len(a) > 0 && &a[0] == &b[0] }
+	for name, want := range map[string][]*core.IntraResult{
+		"loop": e.IntraLoop, "smart": e.IntraSmart, "markov": e.IntraMarkov,
+	} {
+		if got, err := e.Intra(name); err != nil || got[0] != want[0] {
+			t.Errorf("Intra(%q) = %v, %v", name, got, err)
+		}
+	}
+	for name, want := range map[string][]float64{
+		"call_site": e.Inter.CallSite, "direct": e.Inter.Direct, "all_rec": e.Inter.AllRec,
+		"all_rec2": e.Inter.AllRec2, "markov": e.InterMarkov.Inv,
+	} {
+		if got, err := e.Invocations(name); err != nil || !same(got, want) {
+			t.Errorf("Invocations(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, r := range []struct {
+		name  string
+		intra []*core.IntraResult
+		inv   []float64
+	}{
+		{"loop", e.IntraLoop, e.Inter.CallSite},
+		{"smart", e.IntraSmart, e.Inter.Direct},
+		{"markov", e.IntraMarkov, e.InterMarkov.Inv},
+	} {
+		intra, inv, err := e.Rung(r.name)
+		if err != nil || intra[0] != r.intra[0] || !same(inv, r.inv) {
+			t.Errorf("Rung(%q) = %v, %v, %v", r.name, intra, inv, err)
+		}
+	}
+	if _, err := e.Intra("direct"); err == nil {
+		t.Error("Intra accepted an invocation estimator name")
+	}
+	if _, err := e.Invocations("smart"); err == nil {
+		t.Error("Invocations accepted an intra estimator name")
+	}
+	if _, _, err := e.Rung("all_rec"); err == nil {
+		t.Error("Rung accepted a name that is not a rung")
+	}
+}

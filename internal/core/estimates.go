@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"staticest/internal/callgraph"
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
@@ -66,16 +68,70 @@ func EstimateAll(cp *cfg.Program, cg *callgraph.Graph, conf Config) *Estimates {
 	// and inter-procedural heuristics", Section 5.3). The Markov chain
 	// itself uses the Markov-intra weights above; the site ranking uses
 	// the smart weights, as the paper's Figure 9 does.
-	e.SiteFreqDirect = siteGlobalFreq(cg, e.SiteLocal, e.Inter.Direct)
-	e.SiteFreqMarkov = siteGlobalFreq(cg, e.SiteLocal, e.InterMarkov.Inv)
+	e.SiteFreqDirect = SiteGlobalFreq(cg, e.SiteLocal, e.Inter.Direct)
+	e.SiteFreqMarkov = SiteGlobalFreq(cg, e.SiteLocal, e.InterMarkov.Inv)
 	return e
 }
 
-// siteGlobalFreq combines intra- and inter-procedural estimates into a
+// Intra returns the per-function block frequencies of the named
+// intra-procedural estimator: "loop", "smart" or "markov".
+func (e *Estimates) Intra(name string) ([]*IntraResult, error) {
+	switch name {
+	case "loop":
+		return e.IntraLoop, nil
+	case "smart":
+		return e.IntraSmart, nil
+	case "markov":
+		return e.IntraMarkov, nil
+	}
+	return nil, fmt.Errorf("core: unknown intra estimator %q (have loop, smart, markov)", name)
+}
+
+// Invocations returns the per-function invocation estimates of the
+// named inter-procedural estimator: "call_site", "direct", "all_rec",
+// "all_rec2" or "markov".
+func (e *Estimates) Invocations(name string) ([]float64, error) {
+	switch name {
+	case "call_site":
+		return e.Inter.CallSite, nil
+	case "direct":
+		return e.Inter.Direct, nil
+	case "all_rec":
+		return e.Inter.AllRec, nil
+	case "all_rec2":
+		return e.Inter.AllRec2, nil
+	case "markov":
+		return e.InterMarkov.Inv, nil
+	}
+	return nil, fmt.Errorf("core: unknown invocation estimator %q (have call_site, direct, all_rec, all_rec2, markov)", name)
+}
+
+// Rung returns one rung of the estimator ladder by name: "loop" pairs
+// loop-nesting block frequencies with call_site invocations, "smart"
+// pairs the branch heuristics with direct invocations (the paper's
+// headline estimator), and "markov" pairs the intra Markov solve with
+// the Markov call chain.
+func (e *Estimates) Rung(name string) ([]*IntraResult, []float64, error) {
+	inter := name
+	switch name {
+	case "loop":
+		inter = "call_site"
+	case "smart":
+		inter = "direct"
+	}
+	intra, err := e.Intra(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	inv, err := e.Invocations(inter)
+	return intra, inv, err
+}
+
+// SiteGlobalFreq combines intra- and inter-procedural estimates into a
 // global call-site ranking: each direct site's frequency is its local
 // (per-entry) frequency times its caller's invocation estimate.
 // Indirect sites are excluded (they cannot be inlined) and stay zero.
-func siteGlobalFreq(cg *callgraph.Graph, local, inv []float64) []float64 {
+func SiteGlobalFreq(cg *callgraph.Graph, local, inv []float64) []float64 {
 	sp := cg.Prog
 	out := make([]float64, len(sp.CallSites))
 	for _, site := range sp.CallSites {

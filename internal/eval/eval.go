@@ -15,6 +15,7 @@ import (
 	"staticest/internal/core"
 	"staticest/internal/metric"
 	"staticest/internal/obs"
+	"staticest/internal/opt"
 	"staticest/internal/profile"
 	"staticest/internal/suite"
 )
@@ -58,8 +59,21 @@ func Load(p *suite.Program) (*ProgramData, error) {
 	esp := sp.Child("eval.estimate", obs.KV("prog", p.Name))
 	d := &ProgramData{Prog: p, Unit: u, Est: u.Estimate()}
 	esp.End()
+	if d.Profiles, err = ProfileInputs(u, p); err != nil {
+		return nil, err
+	}
+	o.Counter("eval_programs_loaded_total").Add(1)
+	return d, nil
+}
+
+// ProfileInputs runs u, a compilation of suite program p, on each of
+// p's inputs and returns the profiles, parallel to p.Inputs and
+// labelled with the input names.
+func ProfileInputs(u *staticest.Unit, p *suite.Program) ([]*profile.Profile, error) {
+	o := Observer()
+	profs := make([]*profile.Profile, 0, len(p.Inputs))
 	for _, in := range p.Inputs {
-		rsp := sp.Child("eval.run", obs.KV("prog", p.Name), obs.KV("input", in.Name))
+		rsp := o.StartSpan("eval.run", obs.KV("prog", p.Name), obs.KV("input", in.Name))
 		res, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, Obs: o})
 		rsp.End()
 		if err != nil {
@@ -67,10 +81,34 @@ func Load(p *suite.Program) (*ProgramData, error) {
 		}
 		o.Counter("eval_runs_total").Add(1)
 		res.Profile.Label = in.Name
-		d.Profiles = append(d.Profiles, res.Profile)
+		profs = append(profs, res.Profile)
 	}
-	o.Counter("eval_programs_loaded_total").Add(1)
-	return d, nil
+	return profs, nil
+}
+
+// FreqSource resolves a frequency-source name (opt.SourceKinds) for
+// unit u: "loop", "smart" and "markov" from its estimates est,
+// "profile" from the aggregate of every input's profile, and "xprof"
+// from the aggregate of every input but the first (all of them when
+// there is only one).
+func FreqSource(u *staticest.Unit, est *core.Estimates, profiles []*profile.Profile, kind string) (*opt.Source, error) {
+	var held []*profile.Profile
+	switch kind {
+	case "profile":
+		held = profiles
+	case "xprof":
+		held = profiles
+		if len(held) > 1 {
+			held = held[1:]
+		}
+	default:
+		return opt.EstimateSource(u.CFG, est, kind)
+	}
+	agg, err := profile.Aggregate(held)
+	if err != nil {
+		return nil, fmt.Errorf("%s: aggregating %s profiles: %w", u.Name, kind, err)
+	}
+	return opt.ProfileSource(u.CFG, agg, kind), nil
 }
 
 // parallelism is the worker-pool width for LoadSuite (0 = GOMAXPROCS).
@@ -134,31 +172,6 @@ func LoadSuite() ([]*ProgramData, error) {
 		}
 	}
 	return data, nil
-}
-
-// progCache memoizes LoadCached per program name; entries are
-// *progEntry so concurrent first loads of one program do the work once.
-var progCache sync.Map
-
-type progEntry struct {
-	once sync.Once
-	data *ProgramData
-	err  error
-}
-
-// LoadCached compiles and profiles one suite program once per process
-// and returns shared, read-only data. Unlike LoadSuiteCached it loads
-// only the named program, so callers that serve per-program queries
-// (cmd/serve) pay for exactly the programs that are asked about.
-// Concurrent first calls for the same program deduplicate: the load
-// runs once and everyone gets the same *ProgramData.
-func LoadCached(p *suite.Program) (*ProgramData, error) {
-	e, _ := progCache.LoadOrStore(p.Name, &progEntry{})
-	entry := e.(*progEntry)
-	entry.once.Do(func() {
-		entry.data, entry.err = Load(p)
-	})
-	return entry.data, entry.err
 }
 
 var (

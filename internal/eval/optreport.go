@@ -60,14 +60,11 @@ func OptProgram(d *ProgramData) ([]OptRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.Prog.Name, err)
 	}
-	xp := self
-	if len(d.Profiles) > 1 {
-		if xp, err = profile.Aggregate(d.Profiles[1:]); err != nil {
-			return nil, err
-		}
+	xp, err := FreqSource(d.Unit, d.Est, d.Profiles, "xprof")
+	if err != nil {
+		return nil, err
 	}
-	return AgreementRows(d.Prog.Name, d.Unit, d.Est, self,
-		opt.ProfileSource(d.Unit.CFG, xp, "xprof"))
+	return AgreementRows(d.Prog.Name, d.Unit, d.Est, self, xp)
 }
 
 // AgreementRows computes decision-agreement rows for one compiled unit
@@ -102,52 +99,32 @@ func AgreementRows(program string, u *staticest.Unit, est *core.Estimates,
 	}
 	profVec := siteVec(selfSrc)
 
-	spillTau := func(s *opt.Source) float64 {
-		var sum float64
-		var n int
-		for fi := range u.Sem.Funcs {
-			if ref.FuncCalls[fi] == 0 {
-				continue
-			}
-			ws := opt.SpillWeights(u.CFG, fi, s)
-			wp := opt.SpillWeights(u.CFG, fi, selfSrc)
-			if len(ws) < 2 {
-				continue
-			}
-			a := make([]float64, len(ws))
-			b := make([]float64, len(ws))
-			for i := range ws {
-				a[i], b[i] = ws[i].Weight, wp[i].Weight
-			}
-			sum += opt.KendallTau(a, b)
-			n++
-		}
-		if n == 0 {
-			return 1
-		}
-		return sum / float64(n)
-	}
-
-	layoutRow := func(name string, lay *opt.Layout) OptRow {
-		rate, fall, total := opt.FallThroughRate(u.CFG, lay, selfSrc)
-		return OptRow{Program: program, Source: name,
-			FallThrough: rate, FallRaw: fall, TotalRaw: total}
-	}
-
+	layouts := opt.CompareLayouts(u.CFG, u.Call, selfSrc, Observer(), sources...)
 	var rows []OptRow
-	for _, s := range sources {
-		row := layoutRow(s.Name, opt.ComputeLayout(u.CFG, s, Observer()))
+	for i, s := range sources {
+		row := layoutRow(program, s.Name, layouts.Choices[i].Score)
 		row.InlineOverlap = opt.TopKOverlap(siteVec(s), profVec, InlineTopK)
 		row.InlineTau = opt.KendallTau(siteVec(s), profVec)
-		row.SpillTau = spillTau(s)
+		row.SpillTau = 1
+		if pairs := opt.SpillPairs(u.CFG, s, selfSrc); len(pairs) > 0 {
+			var sum float64
+			for _, p := range pairs {
+				sum += p.Tau()
+			}
+			row.SpillTau = sum / float64(len(pairs))
+		}
 		rows = append(rows, row)
 	}
 	// Brackets: the profile's own layout (upper) and source order (lower).
-	pr := layoutRow("profile", opt.ComputeLayout(u.CFG, selfSrc, Observer()))
+	pr := layoutRow(program, "profile", layouts.Reference)
 	pr.InlineOverlap, pr.InlineTau, pr.SpillTau = 1, 1, 1
-	so := layoutRow("src-order", opt.SourceOrderLayout(u.CFG))
-	rows = append(rows, pr, so)
+	rows = append(rows, pr, layoutRow(program, "src-order", layouts.SourceOrder))
 	return rows, nil
+}
+
+func layoutRow(program, source string, s opt.LayoutScore) OptRow {
+	return OptRow{Program: program, Source: source,
+		FallThrough: s.Rate, FallRaw: s.Fall, TotalRaw: s.Total}
 }
 
 // OptReport computes agreement rows for every program plus pooled

@@ -154,35 +154,19 @@ func reuseSpillTaus(d *ProgramData, src, selfSrc *opt.Source, tab *reuse.Table,
 	missFn := func(m map[*cast.Object]float64) func(*cast.Object) float64 {
 		return func(o *cast.Object) float64 { return m[o] }
 	}
-	self, _ := profile.Aggregate(d.Profiles)
-	var sumP, sumC float64
-	var n int
-	for fi := range d.Unit.Sem.Funcs {
-		if self != nil && self.FuncCalls[fi] == 0 {
-			continue
-		}
-		ws := opt.SpillWeights(d.Unit.CFG, fi, src)
-		wp := opt.SpillWeights(d.Unit.CFG, fi, selfSrc)
-		if len(ws) < 2 {
-			continue
-		}
-		vec := func(w []opt.SpillWeight) []float64 {
-			v := make([]float64, len(w))
-			for i := range w {
-				v[i] = w[i].Weight
-			}
-			return v
-		}
-		sumP += opt.KendallTau(vec(ws), vec(wp))
-		wsC := opt.CacheAwareSpillWeights(ws, missFn(estMiss))
-		wpC := opt.CacheAwareSpillWeights(wp, missFn(measMiss))
-		sumC += opt.KendallTau(vec(wsC), vec(wpC))
-		n++
-	}
-	if n == 0 {
+	pairs := opt.SpillPairs(d.Unit.CFG, src, selfSrc)
+	if len(pairs) == 0 {
 		return 1, 1
 	}
-	return sumP / float64(n), sumC / float64(n)
+	var sumP, sumC float64
+	for _, p := range pairs {
+		sumP += p.Tau()
+		sumC += opt.SpillPair{
+			Src: opt.CacheAwareSpillWeights(p.Src, missFn(estMiss)),
+			Ref: opt.CacheAwareSpillWeights(p.Ref, missFn(measMiss)),
+		}.Tau()
+	}
+	return sumP / float64(len(pairs)), sumC / float64(len(pairs))
 }
 
 // ReuseReport runs the reuse comparison over the whole suite and

@@ -228,6 +228,58 @@ func WeightedCallDistance(order []int, cg *callgraph.Graph, prof *Source) float6
 	return d
 }
 
+// LayoutScore is one layout's fall-through under a reference profile
+// (see FallThroughRate).
+type LayoutScore struct {
+	Rate, Fall, Total float64
+}
+
+// LayoutChoice is the block layout and function order one source
+// chooses, both scored under the reference profile.
+type LayoutChoice struct {
+	Score        LayoutScore
+	FuncOrder    []int
+	CallDistance float64
+}
+
+// LayoutComparison brackets the layouts sources choose between source
+// order (below) and the reference profile's own layout (above), all
+// scored by the reference's fall-through; function orders are scored
+// by the reference's weighted call distance, against source order's.
+type LayoutComparison struct {
+	SourceOrder          LayoutScore
+	Reference            LayoutScore
+	IdentityCallDistance float64
+	Choices              []LayoutChoice // parallel to the compared sources
+}
+
+// CompareLayouts lays out the unit under each source and under ref, and
+// scores every layout and function order under ref.
+func CompareLayouts(cp *cfg.Program, cg *callgraph.Graph, ref *Source, o *obs.Observer, srcs ...*Source) *LayoutComparison {
+	score := func(lay *Layout) LayoutScore {
+		var s LayoutScore
+		s.Rate, s.Fall, s.Total = FallThroughRate(cp, lay, ref)
+		return s
+	}
+	c := &LayoutComparison{}
+	for _, src := range srcs {
+		order := FuncOrder(cg, src)
+		c.Choices = append(c.Choices, LayoutChoice{
+			Score:        score(ComputeLayout(cp, src, o)),
+			FuncOrder:    order,
+			CallDistance: WeightedCallDistance(order, cg, ref),
+		})
+	}
+	c.Reference = score(ComputeLayout(cp, ref, o))
+	c.SourceOrder = score(SourceOrderLayout(cp))
+	identity := make([]int, len(cg.Adj))
+	for i := range identity {
+		identity[i] = i
+	}
+	c.IdentityCallDistance = WeightedCallDistance(identity, cg, ref)
+	return c
+}
+
 // sortedEdges returns the call graph's edges in (caller, callee) order.
 // cg.Edges is a map; ranging it directly makes float accumulation (and
 // equal-weight tie-breaks) depend on iteration order, which the serving

@@ -64,17 +64,9 @@ func (s *Source) EdgeFreq(fi int, blk *cfg.Block) []float64 {
 // "smart" (branch heuristics, direct invocations — the paper's headline
 // estimator), or "markov" (linear-system intra + Markov call chain).
 func EstimateSource(cp *cfg.Program, est *core.Estimates, kind string) (*Source, error) {
-	var intra []*core.IntraResult
-	var inv []float64
-	switch kind {
-	case "loop":
-		intra, inv = est.IntraLoop, est.Inter.CallSite
-	case "smart":
-		intra, inv = est.IntraSmart, est.Inter.Direct
-	case "markov":
-		intra, inv = est.IntraMarkov, est.InterMarkov.Inv
-	default:
-		return nil, fmt.Errorf("opt: unknown estimate source %q (have loop, smart, markov)", kind)
+	intra, inv, err := est.Rung(kind)
+	if err != nil {
+		return nil, fmt.Errorf("opt: estimate source: %w", err)
 	}
 	sp := cp.Sem
 	s := &Source{

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"sort"
-
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
 )
@@ -93,23 +91,37 @@ func CacheAwareSpillWeights(ws []SpillWeight, miss func(*cast.Object) float64) [
 	return out
 }
 
-// SpillRanking returns the variables of a SpillWeights result ordered by
-// descending weight (most expensive to spill first), ties by name.
-func SpillRanking(ws []SpillWeight) []string {
-	idx := make([]int, len(ws))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := ws[idx[a]], ws[idx[b]]
-		if wa.Weight != wb.Weight {
-			return wa.Weight > wb.Weight
+// SpillPair is one function's spill weights under a source and under
+// a reference, parallel by variable.
+type SpillPair struct {
+	Func     int
+	Src, Ref []SpillWeight
+}
+
+// SpillPairs weights the variables of every function the reference
+// executed that has at least two spill candidates, under src and under
+// ref, in function order.
+func SpillPairs(cp *cfg.Program, src, ref *Source) []SpillPair {
+	var out []SpillPair
+	for fi := range cp.Sem.Funcs {
+		if ref.Func[fi] == 0 {
+			continue
 		}
-		return wa.Name < wb.Name
-	})
-	out := make([]string, len(idx))
-	for k, i := range idx {
-		out[k] = ws[i].Name
+		ws := SpillWeights(cp, fi, src)
+		if len(ws) < 2 {
+			continue
+		}
+		out = append(out, SpillPair{Func: fi, Src: ws, Ref: SpillWeights(cp, fi, ref)})
 	}
 	return out
+}
+
+// Tau is the Kendall tau-b between the pair's two spill rankings.
+func (p SpillPair) Tau() float64 {
+	a := make([]float64, len(p.Src))
+	b := make([]float64, len(p.Src))
+	for i := range p.Src {
+		a[i], b[i] = p.Src[i].Weight, p.Ref[i].Weight
+	}
+	return KendallTau(a, b)
 }

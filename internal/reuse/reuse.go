@@ -20,6 +20,7 @@ package reuse
 
 import (
 	"math"
+	"sort"
 
 	"staticest/internal/obs"
 )
@@ -183,4 +184,52 @@ func (p *Profile) Merge(other *Profile) {
 			p.PerRef[i].Merge(&other.PerRef[i])
 		}
 	}
+}
+
+// Summary is a reuse profile's headline numbers: total access mass,
+// the first-touch (cold) fraction, the median and p90 distance (+Inf
+// when they land in the cold bucket), and every reference carrying
+// mass, hottest first.
+type Summary struct {
+	Accesses float64
+	ColdFrac float64
+	Median   float64
+	P90      float64
+	Hottest  []RefSummary
+}
+
+// RefSummary is one reference's share of a profile.
+type RefSummary struct {
+	Ref      *Ref
+	Accesses float64
+	Median   float64
+}
+
+// Summarize summarizes p, which was built against t.
+func Summarize(t *Table, p *Profile) Summary {
+	s := Summary{Accesses: p.Accesses()}
+	if s.Accesses > 0 {
+		s.ColdFrac = p.Total.Cold() / s.Accesses
+		s.Median = p.Total.Quantile(0.5)
+		s.P90 = p.Total.Quantile(0.9)
+	}
+	order := make([]int, len(t.Refs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return p.PerRef[order[a]].Total() > p.PerRef[order[b]].Total()
+	})
+	for _, i := range order {
+		v := p.PerRef[i].Total()
+		if v <= 0 {
+			break
+		}
+		s.Hottest = append(s.Hottest, RefSummary{
+			Ref:      &t.Refs[i],
+			Accesses: v,
+			Median:   p.PerRef[i].Quantile(0.5),
+		})
+	}
+	return s
 }

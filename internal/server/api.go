@@ -171,20 +171,21 @@ func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
 
 	resp := &EstimateResponse{Program: u.Name, Fingerprint: c.fingerprint}
 	for fi, fd := range u.Sem.Funcs {
-		resp.Functions = append(resp.Functions, FuncEstimate{
-			Name:  fd.Name(),
-			Index: fi,
-			Invocations: map[string]float64{
-				"loop":   est.Inter.CallSite[fi],
-				"smart":  est.Inter.Direct[fi],
-				"markov": est.InterMarkov.Inv[fi],
-			},
-			BlockFreq: map[string][]float64{
-				"loop":   est.IntraLoop[fi].BlockFreq,
-				"smart":  est.IntraSmart[fi].BlockFreq,
-				"markov": est.IntraMarkov[fi].BlockFreq,
-			},
-		})
+		fe := FuncEstimate{
+			Name:        fd.Name(),
+			Index:       fi,
+			Invocations: make(map[string]float64, len(opt.EstimateKinds)),
+			BlockFreq:   make(map[string][]float64, len(opt.EstimateKinds)),
+		}
+		for _, kind := range opt.EstimateKinds {
+			intra, inv, err := est.Rung(kind)
+			if err != nil {
+				return nil, err
+			}
+			fe.Invocations[kind] = inv[fi]
+			fe.BlockFreq[kind] = intra[fi].BlockFreq
+		}
+		resp.Functions = append(resp.Functions, fe)
 	}
 
 	var sites []CallSiteRank
@@ -241,42 +242,34 @@ func reuseReport(c *compiled, top int) (*ReuseReport, error) {
 		}
 		return v
 	}
-	var smart *reuse.Profile
 	for _, kind := range opt.EstimateKinds {
 		src, err := opt.EstimateSource(c.unit.CFG, c.estimates(), kind)
 		if err != nil {
 			return nil, errUnprocessable("reuse estimate: %v", err)
 		}
-		p := reuse.Estimate(tab, src)
-		if kind == "smart" {
-			smart = p
-		}
-		sum := ReuseSourceSummary{Source: kind, Accesses: p.Accesses()}
-		if sum.Accesses > 0 {
-			sum.ColdFrac = p.Total.Cold() / sum.Accesses
-			sum.Median = finite(p.Total.Quantile(0.5))
-			sum.P90 = finite(p.Total.Quantile(0.9))
-		}
-		rep.Sources = append(rep.Sources, sum)
-	}
-	order := make([]int, len(tab.Refs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return smart.PerRef[order[a]].Total() > smart.PerRef[order[b]].Total()
-	})
-	for rank, i := range order {
-		if (top > 0 && rank >= top) || smart.PerRef[i].Total() <= 0 {
-			break
-		}
-		rep.TopRefs = append(rep.TopRefs, ReuseRefRank{
-			Rank:      rank + 1,
-			Ref:       tab.Refs[i].Name(),
-			Footprint: tab.Refs[i].Footprint,
-			Accesses:  smart.PerRef[i].Total(),
-			Median:    finite(smart.PerRef[i].Quantile(0.5)),
+		sum := reuse.Summarize(tab, reuse.Estimate(tab, src))
+		rep.Sources = append(rep.Sources, ReuseSourceSummary{
+			Source:   kind,
+			Accesses: sum.Accesses,
+			ColdFrac: sum.ColdFrac,
+			Median:   finite(sum.Median),
+			P90:      finite(sum.P90),
 		})
+		if kind != "smart" {
+			continue
+		}
+		for rank, r := range sum.Hottest {
+			if top > 0 && rank >= top {
+				break
+			}
+			rep.TopRefs = append(rep.TopRefs, ReuseRefRank{
+				Rank:      rank + 1,
+				Ref:       r.Ref.Name(),
+				Footprint: r.Ref.Footprint,
+				Accesses:  r.Accesses,
+				Median:    finite(r.Median),
+			})
+		}
 	}
 	return rep, nil
 }
@@ -582,34 +575,29 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 		return nil, err
 	}
 	u := c.unit
+	est := c.estimates()
 
 	// Measured-profile sources and profile-scored reports need the
 	// suite's inputs.
+	var profs []*profile.Profile
 	var selfSrc *opt.Source
-	needProfile := kind == "profile" || kind == "xprof" || want["layout"] || want["spill"]
-	if needProfile {
+	if kind == "profile" || kind == "xprof" || want["layout"] || want["spill"] {
 		if prog == nil {
 			return nil, errBadRequest("freq_source %q and the layout/spill reports compare against measured profiles and need a suite program", kind)
 		}
-		d, err := eval.LoadCached(prog)
-		if err != nil {
+		if profs, err = c.profiles(prog); err != nil {
 			return nil, errUnprocessable("profiling %s: %v", prog.Name, err)
 		}
-		// Score against the cache's unit so all reports share one CFG.
-		self, err := profile.Aggregate(d.Profiles)
-		if err != nil {
-			return nil, errUnprocessable("aggregating %s profiles: %v", prog.Name, err)
+		if selfSrc, err = eval.FreqSource(u, est, profs, "profile"); err != nil {
+			return nil, errUnprocessable("%v", err)
 		}
-		selfSrc = opt.ProfileSource(u.CFG, self, "profile")
 	}
 
 	var fsrc *opt.Source
 	fallback := ""
 	uploads := 0
-	switch kind {
-	case "profile":
-		fsrc = selfSrc
-	case opt.LiveSourceName:
+	srcKind := kind
+	if kind == opt.LiveSourceName {
 		if ls, ok := s.liveSource(c); ok {
 			fsrc = ls
 			if snap, ok := s.ingest.Snapshot(c.fingerprint); ok {
@@ -619,25 +607,12 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 			// Cold fingerprint: nothing ingested yet, so the static
 			// estimator serves until the fleet warms it up.
 			fallback = "smart"
-			if fsrc, err = opt.EstimateSource(u.CFG, c.estimates(), "smart"); err != nil {
-				return nil, errBadRequest("%v", err)
-			}
+			srcKind = fallback
 		}
-	case "xprof":
-		d, _ := eval.LoadCached(prog) // cached above
-		held := d.Profiles
-		if len(held) > 1 {
-			held = held[1:]
-		}
-		xp, err := profile.Aggregate(held)
-		if err != nil {
-			return nil, errUnprocessable("aggregating %s profiles: %v", prog.Name, err)
-		}
-		fsrc = opt.ProfileSource(u.CFG, xp, "xprof")
-	default:
-		fsrc, err = opt.EstimateSource(u.CFG, c.estimates(), kind)
-		if err != nil {
-			return nil, errBadRequest("%v", err)
+	}
+	if fsrc == nil {
+		if fsrc, err = eval.FreqSource(u, est, profs, srcKind); err != nil {
+			return nil, errUnprocessable("%v", err)
 		}
 	}
 
@@ -663,56 +638,40 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 		resp.Inline = rep
 	}
 	if want["layout"] {
-		rep := &LayoutReport{}
+		cmp := opt.CompareLayouts(u.CFG, u.Call, selfSrc, s.obs, fsrc)
+		ch := cmp.Choices[0]
+		rep := &LayoutReport{
+			CallDistance:         ch.CallDistance,
+			IdentityCallDistance: cmp.IdentityCallDistance,
+		}
 		for _, cand := range []struct {
-			name string
-			lay  *opt.Layout
+			name  string
+			score opt.LayoutScore
 		}{
-			{"source-order", opt.SourceOrderLayout(u.CFG)},
-			{fsrc.Name, opt.ComputeLayout(u.CFG, fsrc, s.obs)},
-			{"profile", opt.ComputeLayout(u.CFG, selfSrc, s.obs)},
+			{"source-order", cmp.SourceOrder},
+			{fsrc.Name, ch.Score},
+			{"profile", cmp.Reference},
 		} {
-			rate, _, total := opt.FallThroughRate(u.CFG, cand.lay, selfSrc)
 			rep.Candidates = append(rep.Candidates, LayoutCandidate{
 				Layout:      cand.name,
-				FallThrough: rate,
-				Transfers:   total,
+				FallThrough: cand.score.Rate,
+				Transfers:   cand.score.Total,
 			})
 		}
-		order := opt.FuncOrder(u.Call, fsrc)
-		for _, fi := range order {
+		for _, fi := range ch.FuncOrder {
 			rep.FuncOrder = append(rep.FuncOrder, u.Call.FuncName(fi))
 		}
-		identity := make([]int, len(order))
-		for i := range identity {
-			identity[i] = i
-		}
-		rep.CallDistance = opt.WeightedCallDistance(order, u.Call, selfSrc)
-		rep.IdentityCallDistance = opt.WeightedCallDistance(identity, u.Call, selfSrc)
 		resp.Layout = rep
 	}
 	if want["spill"] {
 		rep := &SpillReport{}
 		var sum float64
-		for fi := range u.Sem.Funcs {
-			if selfSrc.Func[fi] == 0 {
-				continue
-			}
-			ws := opt.SpillWeights(u.CFG, fi, fsrc)
-			wp := opt.SpillWeights(u.CFG, fi, selfSrc)
-			if len(ws) < 2 {
-				continue
-			}
-			a := make([]float64, len(ws))
-			b := make([]float64, len(ws))
-			for i := range ws {
-				a[i], b[i] = ws[i].Weight, wp[i].Weight
-			}
-			tau := opt.KendallTau(a, b)
+		for _, p := range opt.SpillPairs(u.CFG, fsrc, selfSrc) {
+			tau := p.Tau()
 			rep.Functions = append(rep.Functions, SpillFuncReport{
-				Func:        u.Call.FuncName(fi),
-				Invocations: selfSrc.Func[fi],
-				Vars:        len(ws),
+				Func:        u.Call.FuncName(p.Func),
+				Invocations: selfSrc.Func[p.Func],
+				Vars:        len(p.Src),
 				Tau:         tau,
 			})
 			sum += tau
@@ -813,15 +772,19 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 		}
 	}
 
-	d, err := eval.LoadCached(p)
+	c, err := s.compileCached(r.Context(), p.Name+".c", []byte(p.Source))
+	if err != nil {
+		return nil, err
+	}
+	profs, err := c.profiles(p)
 	if err != nil {
 		return nil, errUnprocessable("profiling %s: %v", p.Name, err)
 	}
 	idx := 0
 	if in := q.Get("input"); in != "" {
 		found := false
-		for i := range d.Profiles {
-			if d.Profiles[i].Label == in {
+		for i := range profs {
+			if profs[i].Label == in {
 				idx, found = i, true
 				break
 			}
@@ -831,7 +794,7 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 			return nil, err
 		}
 	}
-	rep := eval.Explain(d.Unit, d.Est, d.Profiles[idx], cutoff)
+	rep := eval.Explain(c.unit, c.estimates(), profs[idx], cutoff)
 
 	resp := &ExplainResponse{
 		Program:  rep.Program,

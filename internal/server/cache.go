@@ -9,14 +9,17 @@ import (
 
 	"staticest"
 	"staticest/internal/core"
+	"staticest/internal/eval"
 	"staticest/internal/obs"
 	"staticest/internal/probes"
+	"staticest/internal/profile"
+	"staticest/internal/suite"
 )
 
 // compiled is one cached compilation: the unit plus lazily-memoized
-// derived artifacts (static estimates, probe plan, serialized response
-// bodies) that every request for the same source would otherwise
-// recompute. The memoization makes the cache-hit path pure serving:
+// derived artifacts (static estimates, probe plan, suite profiles,
+// serialized response bodies) that every request for the same source
+// would otherwise recompute. The memoization makes the cache-hit path pure serving:
 // after the first estimate request for a (source, options) pair, later
 // ones only copy bytes.
 type compiled struct {
@@ -28,6 +31,10 @@ type compiled struct {
 
 	planOnce sync.Once
 	plan     *probes.Plan
+
+	profOnce sync.Once
+	profs    []*profile.Profile
+	profErr  error
 
 	// memo caches fully-encoded response bodies keyed by an options
 	// string (e.g. "estimate|top=10|reuse=false"). Each entry is
@@ -64,6 +71,14 @@ func (c *compiled) estimates() *core.Estimates {
 func (c *compiled) probePlan() *probes.Plan {
 	c.planOnce.Do(func() { c.plan = c.unit.PlanProbes() })
 	return c.plan
+}
+
+// profiles returns the unit's profiles on each input of suite program
+// p, whose source it compiled, running them on first use. The runs are
+// deterministic, so an error is memoized like a result.
+func (c *compiled) profiles(p *suite.Program) ([]*profile.Profile, error) {
+	c.profOnce.Do(func() { c.profs, c.profErr = eval.ProfileInputs(c.unit, p) })
+	return c.profs, c.profErr
 }
 
 // response returns the encoded response body for key, building and

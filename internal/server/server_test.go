@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"staticest/internal/eval"
 	"staticest/internal/obs"
 	"staticest/internal/server"
+	"staticest/internal/suite"
 )
 
 // strchrSrc is the paper's running example — small, deterministic, and
@@ -352,4 +354,114 @@ func jsonString(s string) string {
 		panic(fmt.Sprintf("marshaling string: %v", err))
 	}
 	return string(b)
+}
+
+// TestSuiteProfilesShared fires concurrent optimize and explain
+// requests for one suite program: they share one cache entry and its
+// memoized profiles, so there is exactly one compile and every reply
+// of a kind is byte-identical. Under -race this also checks the
+// profiles' sync.Once.
+func TestSuiteProfilesShared(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o, MaxConcurrent: 8})
+
+	const n = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	statuses := make([]int, n)
+	bodies := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			var resp *http.Response
+			var err error
+			if i%2 == 0 {
+				resp, err = http.Post(ts.URL+"/v1/optimize", "application/json",
+					strings.NewReader(`{"program":"compress","reports":["layout","spill"]}`))
+			} else {
+				resp, err = http.Get(ts.URL + "/v1/explain?program=compress&input=text1")
+			}
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := 0; i < n; i++ {
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, statuses[i], bodies[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[i%2]) {
+			t.Errorf("request %d: response differs from request %d", i, i%2)
+		}
+	}
+	if miss := o.Counter("server_cache_miss").Value(); miss != 1 {
+		t.Errorf("server_cache_miss = %d, want exactly 1", miss)
+	}
+}
+
+// TestOptimizeAgreesWithEval ties the served optimizer reports to the
+// offline agreement experiment: for compress under the smart source,
+// /v1/optimize's mean spill tau and the smart layout's fall-through
+// equal the smart row of eval.OptProgram exactly.
+func TestOptimizeAgreesWithEval(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	status, body := post(t, ts.URL+"/v1/optimize", `{"program":"compress","freq_source":"smart"}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var resp server.OptimizeResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Spill == nil || resp.Layout == nil {
+		t.Fatalf("response lacks the spill or layout report: %s", body)
+	}
+
+	p, err := suite.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eval.Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := eval.OptProgram(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var smart *eval.OptRow
+	for i := range rows {
+		if rows[i].Source == "smart" {
+			smart = &rows[i]
+		}
+	}
+	if smart == nil {
+		t.Fatal("eval.OptProgram has no smart row")
+	}
+
+	if resp.Spill.MeanTau != smart.SpillTau {
+		t.Errorf("spill mean_tau: served %v, eval %v", resp.Spill.MeanTau, smart.SpillTau)
+	}
+	found := false
+	for _, c := range resp.Layout.Candidates {
+		if c.Layout != "smart" {
+			continue
+		}
+		found = true
+		if c.FallThrough != smart.FallThrough {
+			t.Errorf("smart fall_through: served %v, eval %v", c.FallThrough, smart.FallThrough)
+		}
+	}
+	if !found {
+		t.Errorf("no smart layout candidate in %s", body)
+	}
 }
