@@ -53,10 +53,7 @@ func BenchmarkFigure2BranchMissRates(b *testing.B) {
 	data := loadSuite(b)
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Figure2(data)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.Figure2(data)
 		avg = 0
 		for _, r := range rows {
 			avg += r.Smart
@@ -70,10 +67,7 @@ func BenchmarkFigure4Intra(b *testing.B) {
 	data := loadSuite(b)
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Figure4(data)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.Figure4(data)
 		avg = 0
 		for _, r := range rows {
 			avg += r.Smart
@@ -87,10 +81,7 @@ func benchFigure5(b *testing.B, cutoff float64) {
 	data := loadSuite(b)
 	var direct, markov float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Figure5(data, cutoff)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.Figure5(data, cutoff)
 		direct, markov = 0, 0
 		for _, r := range rows {
 			direct += r.Direct
@@ -107,10 +98,7 @@ func BenchmarkFigure5aInvocationSimple(b *testing.B) {
 	data := loadSuite(b)
 	var callSite float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Figure5(data, 0.25)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.Figure5(data, 0.25)
 		callSite = 0
 		for _, r := range rows {
 			callSite += r.CallSite
@@ -135,10 +123,7 @@ func BenchmarkFigure9CallSites(b *testing.B) {
 	data := loadSuite(b)
 	var markov float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Figure9(data)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.Figure9(data)
 		markov = 0
 		for _, r := range rows {
 			markov += r.Markov
@@ -621,10 +606,7 @@ func BenchmarkExtensionCutoffSweep(b *testing.B) {
 	data := loadSuite(b)
 	var at50 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.CutoffSweep(data, []float64{0.05, 0.25, 0.50})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.CutoffSweep(data, []float64{0.05, 0.25, 0.50})
 		at50 = rows[2].Markov
 	}
 	b.ReportMetric(at50, "markov@50%")
@@ -634,10 +616,7 @@ func BenchmarkExtensionMarkovOracle(b *testing.B) {
 	data := loadSuite(b)
 	var oracle float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.MarkovOracle(data, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := eval.MarkovOracle(data, 0.05)
 		oracle = 0
 		for _, r := range rows {
 			oracle += r.MarkovOracle

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	evaluate            # run everything
-//	evaluate -exp f4    # one experiment: t1 t2 f2 f3 f4 f5a f5b f5c f6 f7 f9 f10 x1 x2 opt reuse
+//	evaluate -exp f4    # one experiment (ids: evaluate -h, DESIGN.md §4)
 //	evaluate -j 4       # bound the compile/profile worker pool
 //	evaluate -metrics -http localhost:6060
 package main
@@ -31,12 +31,93 @@ import (
 	"staticest/internal/obs"
 )
 
-var experiments = []string{
-	"t1", "t2", "f2", "f3", "f4", "f5a", "f5b", "f5c", "f6", "f7", "f9", "f10", "x1", "x2", "opt", "reuse", "all",
+// experiment is one -exp id. Experiments run, and print, in table
+// order; suite marks those that read the loaded, profiled suite.
+type experiment struct {
+	id    string
+	suite bool
+	run   func(data []*eval.ProgramData) (string, error)
+}
+
+// experiments returns the experiment table. f5a and f5c render one
+// Figure 5 computation at the 25% cutoff, made by whichever runs first.
+func experiments() []experiment {
+	var f5at25 []eval.Fig5Row
+	figure5At25 := func(data []*eval.ProgramData) []eval.Fig5Row {
+		if f5at25 == nil {
+			f5at25 = eval.Figure5(data, 0.25)
+		}
+		return f5at25
+	}
+	text := func(s string) (string, error) { return s, nil }
+	return []experiment{
+		{"t1", false, func([]*eval.ProgramData) (string, error) { return eval.Table1(), nil }},
+		{"t2", false, func([]*eval.ProgramData) (string, error) { return eval.Table2() }},
+		{"f3", false, func([]*eval.ProgramData) (string, error) { return eval.Figure3() }},
+		{"f6", false, func([]*eval.ProgramData) (string, error) { return eval.Figure6() }},
+		{"f7", false, func([]*eval.ProgramData) (string, error) { return eval.Figure7() }},
+		{"f2", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure2(eval.Figure2(data)))
+		}},
+		{"f4", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure4(eval.Figure4(data)))
+		}},
+		{"f5a", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure5a(figure5At25(data)))
+		}},
+		{"f5c", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure5bc(figure5At25(data), 25, "c"))
+		}},
+		{"f5b", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure5bc(eval.Figure5(data, 0.10), 10, "b"))
+		}},
+		{"f9", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderFigure9(eval.Figure9(data)))
+		}},
+		{"f10", true, func(data []*eval.ProgramData) (string, error) {
+			var compress *eval.ProgramData
+			for _, d := range data {
+				if d.Prog.Name == "compress" {
+					compress = d
+				}
+			}
+			curves, err := eval.Figure10(compress, 0.55)
+			if err != nil {
+				return "", err
+			}
+			return eval.RenderFigure10(curves), nil
+		}},
+		{"x1", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderCutoffSweep(eval.CutoffSweep(data,
+				[]float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50})))
+		}},
+		{"opt", true, func(data []*eval.ProgramData) (string, error) {
+			rows, err := eval.OptReport(data)
+			if err != nil {
+				return "", err
+			}
+			return eval.RenderOptReport(rows), nil
+		}},
+		{"reuse", true, func(data []*eval.ProgramData) (string, error) {
+			results, suite, err := eval.ReuseReport(data)
+			if err != nil {
+				return "", err
+			}
+			return eval.RenderReuseReport(results, suite), nil
+		}},
+		{"x2", true, func(data []*eval.ProgramData) (string, error) {
+			return text(eval.RenderMarkovOracle(eval.MarkovOracle(data, 0.05)))
+		}},
+	}
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(experiments, " ")+")")
+	ids := []string{}
+	for _, e := range experiments() {
+		ids = append(ids, e.id)
+	}
+	ids = append(ids, "all")
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(ids, " ")+")")
 	jobs := flag.Int("j", 0, "programs to compile and profile in parallel (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write JSONL trace events to this file (- for stderr)")
 	metrics := flag.Bool("metrics", false, "print the metrics exposition after the run")
@@ -45,7 +126,7 @@ func main() {
 	eval.SetParallelism(*jobs)
 
 	expName := strings.ToLower(*exp)
-	if err := cliutil.CheckEnum("exp", expName, experiments...); err != nil {
+	if err := cliutil.CheckEnum("exp", expName, ids...); err != nil {
 		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -93,189 +174,28 @@ func serve(addr string, o *obs.Observer) {
 	}()
 }
 
+// run prints experiment exp, or every experiment for "all", each
+// generated under a timed span. The suite is loaded before the first
+// experiment that reads it.
 func run(exp string, o *obs.Observer) error {
-	want := func(name string) bool { return exp == "all" || exp == name }
-	section := func(s string) { fmt.Println(s) }
-	// experiment wraps one experiment's generation in a timed span.
-	experiment := func(name string, f func() (string, error)) error {
-		sp := o.StartSpan("eval.experiment", obs.KV("exp", name))
-		s, err := f()
+	var data []*eval.ProgramData
+	for _, e := range experiments() {
+		if exp != "all" && exp != e.id {
+			continue
+		}
+		if e.suite && data == nil {
+			var err error
+			if data, err = eval.LoadSuiteCached(); err != nil {
+				return err
+			}
+		}
+		sp := o.StartSpan("eval.experiment", obs.KV("exp", e.id))
+		s, err := e.run(data)
 		sp.End()
 		if err != nil {
 			return err
 		}
-		section(s)
-		return nil
-	}
-
-	if want("t1") {
-		if err := experiment("t1", func() (string, error) { return eval.Table1(), nil }); err != nil {
-			return err
-		}
-	}
-	if want("t2") {
-		if err := experiment("t2", eval.Table2); err != nil {
-			return err
-		}
-	}
-	if want("f3") {
-		if err := experiment("f3", eval.Figure3); err != nil {
-			return err
-		}
-	}
-	if want("f6") {
-		if err := experiment("f6", eval.Figure6); err != nil {
-			return err
-		}
-	}
-	if want("f7") {
-		if err := experiment("f7", eval.Figure7); err != nil {
-			return err
-		}
-	}
-
-	needSuite := false
-	for _, e := range []string{"f2", "f4", "f5a", "f5b", "f5c", "f9", "f10", "x1", "x2", "opt", "reuse"} {
-		if want(e) {
-			needSuite = true
-		}
-	}
-	if !needSuite {
-		return nil
-	}
-	data, err := eval.LoadSuiteCached()
-	if err != nil {
-		return err
-	}
-
-	if want("f2") {
-		err := experiment("f2", func() (string, error) {
-			rows, err := eval.Figure2(data)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderFigure2(rows), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("f4") {
-		err := experiment("f4", func() (string, error) {
-			rows, err := eval.Figure4(data)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderFigure4(rows), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("f5a") || want("f5c") {
-		sp := o.StartSpan("eval.experiment", obs.KV("exp", "f5"))
-		rows, err := eval.Figure5(data, 0.25)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if want("f5a") {
-			section(eval.RenderFigure5a(rows))
-		}
-		if want("f5c") {
-			section(eval.RenderFigure5bc(rows, 25, "c"))
-		}
-	}
-	if want("f5b") {
-		err := experiment("f5b", func() (string, error) {
-			rows, err := eval.Figure5(data, 0.10)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderFigure5bc(rows, 10, "b"), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("f9") {
-		err := experiment("f9", func() (string, error) {
-			rows, err := eval.Figure9(data)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderFigure9(rows), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("f10") {
-		err := experiment("f10", func() (string, error) {
-			var compress *eval.ProgramData
-			for _, d := range data {
-				if d.Prog.Name == "compress" {
-					compress = d
-				}
-			}
-			curves, err := eval.Figure10(compress, 0.55)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderFigure10(curves), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("x1") {
-		err := experiment("x1", func() (string, error) {
-			rows, err := eval.CutoffSweep(data,
-				[]float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50})
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderCutoffSweep(rows), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("opt") {
-		err := experiment("opt", func() (string, error) {
-			rows, err := eval.OptReport(data)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderOptReport(rows), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("reuse") {
-		err := experiment("reuse", func() (string, error) {
-			results, suite, err := eval.ReuseReport(data)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderReuseReport(results, suite), nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if want("x2") {
-		err := experiment("x2", func() (string, error) {
-			rows, err := eval.MarkovOracle(data, 0.05)
-			if err != nil {
-				return "", err
-			}
-			return eval.RenderMarkovOracle(rows), nil
-		})
-		if err != nil {
-			return err
-		}
+		fmt.Println(s)
 	}
 	return nil
 }

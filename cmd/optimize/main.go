@@ -96,11 +96,8 @@ func run(progName, sourceKind, report string, budget int) error {
 	if err != nil {
 		return err
 	}
-	selfSrc, err := eval.FreqSource(d.Unit, d.Est, d.Profiles, "profile")
-	if err != nil {
-		return err
-	}
-	src, err := eval.FreqSource(d.Unit, d.Est, d.Profiles, sourceKind)
+	selfSrc := opt.ProfileSource(d.Unit.CFG, d.Self, "profile")
+	src, err := eval.FreqSource(d.Unit, d.Est, &d.Baseline, sourceKind)
 	if err != nil {
 		return err
 	}

@@ -72,7 +72,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	eval.SetParallelism(*jobs)
 
 	// The server requires an observability domain (its /metrics and
 	// debug endpoints are part of the API), so a run without -trace or
@@ -95,6 +94,7 @@ func main() {
 		DrainTimeout:   *drain,
 		MaxSteps:       *maxSteps,
 		QueueWait:      *queueWait,
+		MaxConcurrent:  *jobs,
 		Obs:            o,
 	})
 

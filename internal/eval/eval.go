@@ -39,12 +39,26 @@ func scoreSpan(exp, prog string) *obs.Span {
 	return Observer().StartSpan("eval.score", obs.KV("exp", exp), obs.KV("prog", prog))
 }
 
-// ProgramData is one program's compiled unit, estimates, and profiles.
+// ProgramData is one program's compiled unit, estimates, and measured
+// baseline.
 type ProgramData struct {
-	Prog     *suite.Program
-	Unit     *staticest.Unit
-	Est      *core.Estimates
+	Prog *suite.Program
+	Unit *staticest.Unit
+	Est  *core.Estimates
+	Baseline
+}
+
+// Baseline is a suite program's measured side: the profile of each
+// input and the aggregates built from them once, which every
+// profile-driven figure, report and frequency source reads.
+type Baseline struct {
 	Profiles []*profile.Profile // parallel to Prog.Inputs
+	// Self aggregates every input's profile.
+	Self *profile.Profile
+	// HeldOut[i] aggregates every input's profile but input i's, or is
+	// input i's own when it is the only one: cross-input profiling, the
+	// paper's baseline, as the estimate scored against Profiles[i].
+	HeldOut []*profile.Profile
 }
 
 // Load compiles and profiles one program with the default configuration.
@@ -59,7 +73,7 @@ func Load(p *suite.Program) (*ProgramData, error) {
 	esp := sp.Child("eval.estimate", obs.KV("prog", p.Name))
 	d := &ProgramData{Prog: p, Unit: u, Est: u.Estimate()}
 	esp.End()
-	if d.Profiles, err = ProfileInputs(u, p); err != nil {
+	if d.Baseline, err = ProfileInputs(u, p); err != nil {
 		return nil, err
 	}
 	o.Counter("eval_programs_loaded_total").Add(1)
@@ -67,9 +81,9 @@ func Load(p *suite.Program) (*ProgramData, error) {
 }
 
 // ProfileInputs runs u, a compilation of suite program p, on each of
-// p's inputs and returns the profiles, parallel to p.Inputs and
-// labelled with the input names.
-func ProfileInputs(u *staticest.Unit, p *suite.Program) ([]*profile.Profile, error) {
+// p's inputs and returns the profiles, labelled with the input names,
+// together with their aggregates.
+func ProfileInputs(u *staticest.Unit, p *suite.Program) (Baseline, error) {
 	o := Observer()
 	profs := make([]*profile.Profile, 0, len(p.Inputs))
 	for _, in := range p.Inputs {
@@ -77,38 +91,53 @@ func ProfileInputs(u *staticest.Unit, p *suite.Program) ([]*profile.Profile, err
 		res, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, Obs: o})
 		rsp.End()
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", p.Name, in.Name, err)
+			return Baseline{}, fmt.Errorf("%s/%s: %w", p.Name, in.Name, err)
 		}
 		o.Counter("eval_runs_total").Add(1)
 		res.Profile.Label = in.Name
 		profs = append(profs, res.Profile)
 	}
-	return profs, nil
+	b, err := newBaseline(profs)
+	if err != nil {
+		return Baseline{}, fmt.Errorf("%s: aggregating profiles: %w", p.Name, err)
+	}
+	return b, nil
+}
+
+// newBaseline aggregates profiles, each aggregate in input order. It
+// is the package's only caller of profile.Aggregate.
+func newBaseline(profs []*profile.Profile) (Baseline, error) {
+	b := Baseline{Profiles: profs, HeldOut: make([]*profile.Profile, len(profs))}
+	var err error
+	if b.Self, err = profile.Aggregate(profs); err != nil {
+		return Baseline{}, err
+	}
+	if len(profs) == 1 {
+		b.HeldOut[0] = profs[0]
+		return b, nil
+	}
+	for i := range profs {
+		rest := append(append(make([]*profile.Profile, 0, len(profs)-1), profs[:i]...), profs[i+1:]...)
+		if b.HeldOut[i], err = profile.Aggregate(rest); err != nil {
+			return Baseline{}, err
+		}
+	}
+	return b, nil
 }
 
 // FreqSource resolves a frequency-source name (opt.SourceKinds) for
 // unit u: "loop", "smart" and "markov" from its estimates est,
-// "profile" from the aggregate of every input's profile, and "xprof"
-// from the aggregate of every input but the first (all of them when
-// there is only one).
-func FreqSource(u *staticest.Unit, est *core.Estimates, profiles []*profile.Profile, kind string) (*opt.Source, error) {
-	var held []*profile.Profile
+// "profile" from b's aggregate of every input, and "xprof" from b's
+// held-out aggregate of the first input (every input but the first).
+// b may be nil for the static kinds.
+func FreqSource(u *staticest.Unit, est *core.Estimates, b *Baseline, kind string) (*opt.Source, error) {
 	switch kind {
 	case "profile":
-		held = profiles
+		return opt.ProfileSource(u.CFG, b.Self, kind), nil
 	case "xprof":
-		held = profiles
-		if len(held) > 1 {
-			held = held[1:]
-		}
-	default:
-		return opt.EstimateSource(u.CFG, est, kind)
+		return opt.ProfileSource(u.CFG, b.HeldOut[0], kind), nil
 	}
-	agg, err := profile.Aggregate(held)
-	if err != nil {
-		return nil, fmt.Errorf("%s: aggregating %s profiles: %w", u.Name, kind, err)
-	}
-	return opt.ProfileSource(u.CFG, agg, kind), nil
+	return opt.EstimateSource(u.CFG, est, kind)
 }
 
 // parallelism is the worker-pool width for LoadSuite (0 = GOMAXPROCS).
@@ -189,26 +218,6 @@ func LoadSuiteCached() ([]*ProgramData, error) {
 	return suiteData, suiteErr
 }
 
-// others returns all profiles except index i.
-func others(profiles []*profile.Profile, i int) []*profile.Profile {
-	out := make([]*profile.Profile, 0, len(profiles)-1)
-	for j, p := range profiles {
-		if j != i {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// aggregateOthers aggregates the held-out complement of profile i.
-func aggregateOthers(profiles []*profile.Profile, i int) (*profile.Profile, error) {
-	rest := others(profiles, i)
-	if len(rest) == 0 {
-		return profiles[i], nil
-	}
-	return profile.Aggregate(rest)
-}
-
 // rankDesc returns indices of v sorted descending (ties by index).
 func rankDesc(v []float64) []int {
 	idx := make([]int, len(v))
@@ -219,21 +228,24 @@ func rankDesc(v []float64) []int {
 	return idx
 }
 
-// meanOverProfiles averages f(i) across profile indices.
-func meanOverProfiles(n int, f func(i int) (float64, error)) (float64, error) {
-	if n == 0 {
-		return 0, fmt.Errorf("eval: no profiles")
-	}
+// meanOverInputs averages score(i) over d's inputs, in input order.
+// Every ProgramData has at least one input: newBaseline rejects an
+// empty profile list.
+func meanOverInputs(d *ProgramData, score func(i int) float64) float64 {
 	total := 0.0
-	for i := 0; i < n; i++ {
-		v, err := f(i)
-		if err != nil {
-			return 0, err
-		}
-		total += v
+	for i := range d.Profiles {
+		total += score(i)
 	}
-	return total / float64(n), nil
+	return total / float64(len(d.Profiles))
 }
+
+// The scorers below take the estimate for each input i as est(i), so
+// one loop scores a static estimator (the same vectors for every i,
+// see static), cross-input profiling (d.HeldOut[i]) and the Markov
+// oracle (probabilities from d.HeldOut[i]).
+
+// static returns an estimate that does not depend on the input.
+func static[T any](v T) func(int) T { return func(int) T { return v } }
 
 // intraEstimateVectors extracts per-function block-frequency vectors from
 // an estimator result list.
@@ -245,68 +257,32 @@ func intraEstimateVectors(res []*core.IntraResult) [][]float64 {
 	return out
 }
 
-// intraScore computes the paper's intra-procedural weight-matching score
-// for one program: per held-out profile, score every executed function at
-// the cutoff, weight by its dynamic invocation count, then average the
-// per-profile results.
-func intraScore(d *ProgramData, est [][]float64, cutoff float64) (float64, error) {
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		p := d.Profiles[i]
+// intraScore computes the paper's intra-procedural weight-matching
+// score for one program: per input, score every function that input
+// executed at the cutoff, weight it by its dynamic invocation count,
+// then average the per-input results.
+func intraScore(d *ProgramData, est func(i int) [][]float64, cutoff float64) float64 {
+	return meanOverInputs(d, func(i int) float64 {
+		e, p := est(i), d.Profiles[i]
 		var scores, weights []float64
 		for f := range d.Unit.Sem.Funcs {
 			if p.FuncCalls[f] == 0 {
 				continue
 			}
-			scores = append(scores, metric.WeightMatch(est[f], p.BlockCounts[f], cutoff))
+			scores = append(scores, metric.WeightMatch(e[f], p.BlockCounts[f], cutoff))
 			weights = append(weights, p.FuncCalls[f])
 		}
 		if len(scores) == 0 {
-			return 1, nil
+			return 1
 		}
-		return metric.WeightedMean(scores, weights), nil
-	})
-}
-
-// intraProfilingScore scores cross-input profiling as the intra
-// estimator: aggregate the other inputs and match against the held-out
-// profile.
-func intraProfilingScore(d *ProgramData, cutoff float64) (float64, error) {
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		agg, err := aggregateOthers(d.Profiles, i)
-		if err != nil {
-			return 0, err
-		}
-		p := d.Profiles[i]
-		var scores, weights []float64
-		for f := range d.Unit.Sem.Funcs {
-			if p.FuncCalls[f] == 0 {
-				continue
-			}
-			scores = append(scores, metric.WeightMatch(agg.BlockCounts[f], p.BlockCounts[f], cutoff))
-			weights = append(weights, p.FuncCalls[f])
-		}
-		if len(scores) == 0 {
-			return 1, nil
-		}
-		return metric.WeightedMean(scores, weights), nil
+		return metric.WeightedMean(scores, weights)
 	})
 }
 
 // invocationScore scores a function-invocation estimate at a cutoff.
-func invocationScore(d *ProgramData, est []float64, cutoff float64) (float64, error) {
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		return metric.WeightMatch(est, d.Profiles[i].FuncCalls, cutoff), nil
-	})
-}
-
-// invocationProfilingScore scores cross-input profiling for invocations.
-func invocationProfilingScore(d *ProgramData, cutoff float64) (float64, error) {
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		agg, err := aggregateOthers(d.Profiles, i)
-		if err != nil {
-			return 0, err
-		}
-		return metric.WeightMatch(agg.FuncCalls, d.Profiles[i].FuncCalls, cutoff), nil
+func invocationScore(d *ProgramData, est func(i int) []float64, cutoff float64) float64 {
+	return meanOverInputs(d, func(i int) float64 {
+		return metric.WeightMatch(est(i), d.Profiles[i].FuncCalls, cutoff)
 	})
 }
 
@@ -330,31 +306,14 @@ func gather(v []float64, idx []int) []float64 {
 	return out
 }
 
-// callSiteScore scores a global call-site frequency estimate at a cutoff
-// over direct sites only.
-func callSiteScore(d *ProgramData, est []float64, cutoff float64) (float64, error) {
+// callSiteScore scores a global call-site frequency estimate at a
+// cutoff over direct sites only.
+func callSiteScore(d *ProgramData, est func(i int) []float64, cutoff float64) float64 {
 	idx := directSiteIndices(d)
 	if len(idx) == 0 {
-		return 1, nil
+		return 1
 	}
-	e := gather(est, idx)
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		return metric.WeightMatch(e, gather(d.Profiles[i].CallSiteCounts, idx), cutoff), nil
-	})
-}
-
-// callSiteProfilingScore scores cross-input profiling for call sites.
-func callSiteProfilingScore(d *ProgramData, cutoff float64) (float64, error) {
-	idx := directSiteIndices(d)
-	if len(idx) == 0 {
-		return 1, nil
-	}
-	return meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-		agg, err := aggregateOthers(d.Profiles, i)
-		if err != nil {
-			return 0, err
-		}
-		return metric.WeightMatch(gather(agg.CallSiteCounts, idx),
-			gather(d.Profiles[i].CallSiteCounts, idx), cutoff), nil
+	return meanOverInputs(d, func(i int) float64 {
+		return metric.WeightMatch(gather(est(i), idx), gather(d.Profiles[i].CallSiteCounts, idx), cutoff)
 	})
 }

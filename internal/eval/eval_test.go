@@ -3,6 +3,9 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"staticest/internal/probes"
+	"staticest/internal/profile"
 )
 
 func loadAll(t *testing.T) []*ProgramData {
@@ -12,6 +15,47 @@ func loadAll(t *testing.T) []*ProgramData {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestBaselineHeldOut pins what each aggregate holds: Self is every
+// input, HeldOut[i] every input but i in input order, and a lone input
+// is its own held-out estimate.
+func TestBaselineHeldOut(t *testing.T) {
+	var d *ProgramData
+	for _, x := range loadAll(t) {
+		if x.Prog.Name == "compress" {
+			d = x
+		}
+	}
+	ps := d.Profiles
+	if len(ps) < 3 || len(d.HeldOut) != len(ps) {
+		t.Fatalf("compress: %d profiles, %d held-out aggregates", len(ps), len(d.HeldOut))
+	}
+	self, err := profile.Aggregate(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := probes.Diff(self, d.Self); len(diffs) > 0 {
+		t.Errorf("Self differs from the aggregate of every input: %v", diffs)
+	}
+	rest, err := profile.Aggregate([]*profile.Profile{ps[0], ps[2], ps[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := probes.Diff(rest, d.HeldOut[1]); len(diffs) > 0 {
+		t.Errorf("HeldOut[1] differs from the aggregate of inputs 0, 2, 3: %v", diffs)
+	}
+
+	one, err := newBaseline(ps[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.HeldOut[0] != ps[0] {
+		t.Error("a lone input's held-out aggregate is not the input itself")
+	}
+	if _, err := newBaseline(nil); err == nil {
+		t.Error("newBaseline accepted no profiles")
+	}
 }
 
 func TestTable1(t *testing.T) {
@@ -78,10 +122,7 @@ func TestFigure7MatchesPaper(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2(loadAll(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure2(loadAll(t))
 	if len(rows) != 14 {
 		t.Fatalf("%d rows, want 14", len(rows))
 	}
@@ -116,10 +157,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	rows, err := Figure4(loadAll(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure4(loadAll(t))
 	if len(rows) != 14 {
 		t.Fatalf("%d rows, want 14", len(rows))
 	}
@@ -155,10 +193,7 @@ func TestFigure4Shape(t *testing.T) {
 func TestFigure5MarkovBeatsDirect(t *testing.T) {
 	data := loadAll(t)
 	for _, cutoff := range []float64{0.10, 0.25} {
-		rows, err := Figure5(data, cutoff)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := Figure5(data, cutoff)
 		var direct, markov, prof float64
 		for _, r := range rows {
 			direct += r.Direct
@@ -185,10 +220,7 @@ func TestFigure5MarkovBeatsDirect(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rows, err := Figure9(loadAll(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure9(loadAll(t))
 	var direct, markov, prof float64
 	for _, r := range rows {
 		direct += r.Direct
@@ -251,32 +283,29 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestRenderings(t *testing.T) {
 	data := loadAll(t)
-	f2, _ := Figure2(data)
+	f2 := Figure2(data)
 	if s := RenderFigure2(f2); !strings.Contains(s, "AVERAGE") {
 		t.Error("Figure 2 rendering missing AVERAGE row")
 	}
-	f4, _ := Figure4(data)
+	f4 := Figure4(data)
 	if s := RenderFigure4(f4); !strings.Contains(s, "markov") {
 		t.Error("Figure 4 rendering missing markov column")
 	}
-	f5, _ := Figure5(data, 0.25)
+	f5 := Figure5(data, 0.25)
 	if s := RenderFigure5a(f5); !strings.Contains(s, "all_rec2") {
 		t.Error("Figure 5a rendering missing all_rec2 column")
 	}
 	if s := RenderFigure5bc(f5, 25, "c"); !strings.Contains(s, "25% cutoff") {
 		t.Error("Figure 5c rendering missing cutoff")
 	}
-	f9, _ := Figure9(data)
+	f9 := Figure9(data)
 	if s := RenderFigure9(f9); !strings.Contains(s, "direct") {
 		t.Error("Figure 9 rendering missing direct column")
 	}
 }
 
 func TestCutoffSweep(t *testing.T) {
-	rows, err := CutoffSweep(loadAll(t), []float64{0.05, 0.25, 0.50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := CutoffSweep(loadAll(t), []float64{0.05, 0.25, 0.50})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -290,10 +319,7 @@ func TestCutoffSweep(t *testing.T) {
 }
 
 func TestMarkovOracle(t *testing.T) {
-	rows, err := MarkovOracle(loadAll(t), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := MarkovOracle(loadAll(t), 0.05)
 	var markov, oracle, prof float64
 	for _, r := range rows {
 		markov += r.Markov

@@ -183,19 +183,13 @@ func Explain(u *staticest.Unit, est *core.Estimates, p *profile.Profile, cutoff 
 			EstInv:     est.InterMarkov.Inv[fi],
 			Blocks:     len(actBlocks),
 			Score:      metric.WeightMatch(estBlocks, actBlocks, cutoff),
-			Divergence: totalVariation(estBlocks, actBlocks),
+			Divergence: metric.TotalVariation(estBlocks, actBlocks),
 		})
 	}
 	sort.SliceStable(r.Funcs, func(a, b int) bool {
 		return r.Funcs[a].Calls > r.Funcs[b].Calls
 	})
 	return r
-}
-
-// totalVariation normalizes both vectors to unit mass and returns half
-// the L1 distance. Zero-mass vectors are treated as uniform.
-func totalVariation(a, b []float64) float64 {
-	return metric.TotalVariation(a, b)
 }
 
 // Render formats the report as text tables. topBranches bounds the

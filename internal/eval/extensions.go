@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"staticest/internal/core"
-	"staticest/internal/metric"
 	"staticest/internal/profile"
 	"staticest/internal/texttab"
 )
@@ -32,13 +31,10 @@ type SweepRow struct {
 }
 
 // CutoffSweep scores the invocation estimators across cutoffs.
-func CutoffSweep(data []*ProgramData, cutoffs []float64) ([]SweepRow, error) {
+func CutoffSweep(data []*ProgramData, cutoffs []float64) []SweepRow {
 	var rows []SweepRow
 	for _, c := range cutoffs {
-		f5, err := Figure5(data, c)
-		if err != nil {
-			return nil, err
-		}
+		f5 := Figure5(data, c)
 		row := SweepRow{Cutoff: c}
 		for _, r := range f5 {
 			row.Direct += r.Direct
@@ -51,7 +47,7 @@ func CutoffSweep(data []*ProgramData, cutoffs []float64) ([]SweepRow, error) {
 		row.Profile /= n
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderCutoffSweep renders the sweep.
@@ -79,12 +75,12 @@ type OracleRow struct {
 
 // oraclePredictions builds a Predictions table whose probabilities come
 // from a profile (the aggregate of the held-out inputs).
-func oraclePredictions(d *ProgramData, static *core.Predictions, p *profile.Profile) *core.Predictions {
+func oraclePredictions(pred *core.Predictions, p *profile.Profile) *core.Predictions {
 	pr := &core.Predictions{
-		Branch: make([]core.BranchPrediction, len(static.Branch)),
-		Switch: make([][]float64, len(static.Switch)),
+		Branch: make([]core.BranchPrediction, len(pred.Branch)),
+		Switch: make([][]float64, len(pred.Switch)),
 	}
-	for i, bp := range static.Branch {
+	for i, bp := range pred.Branch {
 		taken, not := p.BranchTaken[i], p.BranchNot[i]
 		if taken+not > 0 {
 			bp.ProbTrue = taken / (taken + not)
@@ -93,7 +89,7 @@ func oraclePredictions(d *ProgramData, static *core.Predictions, p *profile.Prof
 		}
 		pr.Branch[i] = bp
 	}
-	for i, probs := range static.Switch {
+	for i, probs := range pred.Switch {
 		arms := p.SwitchArm[i]
 		total := 0.0
 		for _, c := range arms {
@@ -112,79 +108,40 @@ func oraclePredictions(d *ProgramData, static *core.Predictions, p *profile.Prof
 
 // MarkovOracle scores the intra Markov model under static vs oracle
 // probabilities at the given cutoff.
-func MarkovOracle(data []*ProgramData, cutoff float64) ([]OracleRow, error) {
-	conf := core.DefaultConfig()
+func MarkovOracle(data []*ProgramData, cutoff float64) []OracleRow {
 	var rows []OracleRow
 	for _, d := range data {
-		static := core.Predict(d.Unit.CFG, conf)
-		row := OracleRow{Program: d.Prog.Name}
-
-		smart, err := intraScore(d, intraEstimateVectors(d.Est.IntraSmart), cutoff)
-		if err != nil {
-			return nil, err
-		}
-		markov, err := intraScore(d, intraEstimateVectors(d.Est.IntraMarkov), cutoff)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := intraProfilingScore(d, cutoff)
-		if err != nil {
-			return nil, err
-		}
-
-		// Oracle: per held-out profile, rebuild the Markov estimates
-		// with probabilities from the aggregate of the other inputs.
-		oracle, err := meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-			agg, err := aggregateOthers(d.Profiles, i)
-			if err != nil {
-				return 0, err
-			}
-			preds := oraclePredictions(d, static, agg)
-			p := d.Profiles[i]
-			var scores, weights []float64
+		// Oracle: per input, rebuild the Markov estimates with
+		// probabilities from the held-out aggregate. intraScore reads
+		// only the functions the input executed, so only those are
+		// solved.
+		oracle := func(i int) [][]float64 {
+			preds := oraclePredictions(d.Est.Pred, d.HeldOut[i])
+			out := make([][]float64, len(d.Unit.CFG.Graphs))
 			for f, g := range d.Unit.CFG.Graphs {
-				if p.FuncCalls[f] == 0 {
-					continue
+				if d.Profiles[i].FuncCalls[f] > 0 {
+					out[f] = core.IntraMarkov(g, preds, d.Est.Config).BlockFreq
 				}
-				res := core.IntraMarkov(g, preds, conf)
-				scores = append(scores, metric.WeightMatch(res.BlockFreq, p.BlockCounts[f], cutoff))
-				weights = append(weights, p.FuncCalls[f])
 			}
-			if len(scores) == 0 {
-				return 1, nil
-			}
-			return metric.WeightedMean(scores, weights), nil
-		})
-		if err != nil {
-			return nil, err
+			return out
 		}
-
-		row.Smart = smart * 100
-		row.Markov = markov * 100
-		row.MarkovOracle = oracle * 100
-		row.Profile = prof * 100
-		rows = append(rows, row)
+		rows = append(rows, OracleRow{
+			Program:      d.Prog.Name,
+			Smart:        intraScore(d, static(intraEstimateVectors(d.Est.IntraSmart)), cutoff) * 100,
+			Markov:       intraScore(d, static(intraEstimateVectors(d.Est.IntraMarkov)), cutoff) * 100,
+			MarkovOracle: intraScore(d, oracle, cutoff) * 100,
+			Profile:      intraScore(d, func(i int) [][]float64 { return d.HeldOut[i].BlockCounts }, cutoff) * 100,
+		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderMarkovOracle renders the open-question experiment.
 func RenderMarkovOracle(rows []OracleRow) string {
-	var sb strings.Builder
-	sb.WriteString("Extension X2: can better probabilities rescue the intra Markov model?\n")
-	sb.WriteString("(the paper's open question: Markov with oracle branch probabilities)\n\n")
-	t := texttab.New("program", "smart", "markov", "markov+oracle", "profiling").
-		AlignRight(1, 2, 3, 4)
-	var a, b, c, p float64
-	for _, r := range rows {
-		t.Row(r.Program, r.Smart, r.Markov, r.MarkovOracle, r.Profile)
-		a += r.Smart
-		b += r.Markov
-		c += r.MarkovOracle
-		p += r.Profile
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", a/n, b/n, c/n, p/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable("Extension X2: can better probabilities rescue the intra Markov model?\n"+
+		"(the paper's open question: Markov with oracle branch probabilities)\n\n",
+		[]string{"smart", "markov", "markov+oracle", "profiling"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.Smart, r.Markov, r.MarkovOracle, r.Profile}
+		})
 }

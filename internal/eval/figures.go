@@ -6,7 +6,6 @@ import (
 
 	"staticest"
 	"staticest/internal/metric"
-	"staticest/internal/profile"
 	"staticest/internal/texttab"
 )
 
@@ -41,67 +40,73 @@ func predictedDirections(d *ProgramData) []bool {
 }
 
 // Figure2 computes branch miss rates for every program.
-func Figure2(data []*ProgramData) ([]Fig2Row, error) {
+func Figure2(data []*ProgramData) []Fig2Row {
 	var rows []Fig2Row
 	for _, d := range data {
 		sp := scoreSpan("f2", d.Prog.Name)
 		skip := branchSkip(d)
 		dirs := predictedDirections(d)
-		smart, err := meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
+		smart := meanOverInputs(d, func(i int) float64 {
 			p := d.Profiles[i]
-			return metric.MissRate(dirs, p.BranchTaken, p.BranchNot, skip), nil
+			return metric.MissRate(dirs, p.BranchTaken, p.BranchNot, skip)
 		})
-		if err != nil {
-			return nil, err
-		}
-		prof, err := meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
-			agg, err := aggregateOthers(d.Profiles, i)
-			if err != nil {
-				return 0, err
-			}
+		prof := meanOverInputs(d, func(i int) float64 {
+			agg := d.HeldOut[i]
 			dir := make([]bool, len(agg.BranchTaken))
 			for b := range dir {
 				dir[b] = agg.BranchTaken[b] > agg.BranchNot[b]
 			}
 			p := d.Profiles[i]
-			return metric.MissRate(dir, p.BranchTaken, p.BranchNot, skip), nil
+			return metric.MissRate(dir, p.BranchTaken, p.BranchNot, skip)
 		})
-		if err != nil {
-			return nil, err
-		}
-		psp, err := meanOverProfiles(len(d.Profiles), func(i int) (float64, error) {
+		psp := meanOverInputs(d, func(i int) float64 {
 			p := d.Profiles[i]
-			return metric.PerfectStaticMissRate(p.BranchTaken, p.BranchNot, skip), nil
+			return metric.PerfectStaticMissRate(p.BranchTaken, p.BranchNot, skip)
 		})
-		if err != nil {
-			return nil, err
-		}
 		rows = append(rows, Fig2Row{
 			Program: d.Prog.Name,
 			Smart:   smart * 100, Profile: prof * 100, PSP: psp * 100,
 		})
 		sp.End()
 	}
-	return rows, nil
+	return rows
+}
+
+// averagedTable renders title and a table with one row per program,
+// then an AVERAGE row holding each column's mean, summed in row order.
+// row(i) returns program i's name and its cells, one per column.
+func averagedTable(title string, columns []string, n int, row func(i int) (string, []float64)) string {
+	right := make([]int, len(columns))
+	for j := range right {
+		right[j] = j + 1
+	}
+	t := texttab.New(append([]string{"program"}, columns...)...).AlignRight(right...)
+	sums := make([]float64, len(columns))
+	for i := 0; i < n; i++ {
+		name, vals := row(i)
+		cells := []any{name}
+		for j, v := range vals {
+			cells = append(cells, v)
+			sums[j] += v
+		}
+		t.Row(cells...)
+	}
+	avg := []any{"AVERAGE"}
+	for _, s := range sums {
+		avg = append(avg, s/float64(n))
+	}
+	t.Row(avg...)
+	return title + t.String()
 }
 
 // RenderFigure2 renders Figure 2 as a text chart.
 func RenderFigure2(rows []Fig2Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 2: branch miss rates (% of dynamic branches mispredicted)\n")
-	sb.WriteString("constant-condition branches and switches omitted\n\n")
-	t := texttab.New("program", "predictor", "profiling", "PSP").AlignRight(1, 2, 3)
-	var s, p, q float64
-	for _, r := range rows {
-		t.Row(r.Program, r.Smart, r.Profile, r.PSP)
-		s += r.Smart
-		p += r.Profile
-		q += r.PSP
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", s/n, p/n, q/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable("Figure 2: branch miss rates (% of dynamic branches mispredicted)\n"+
+		"constant-condition branches and switches omitted\n\n",
+		[]string{"predictor", "profiling", "PSP"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.Smart, r.Profile, r.PSP}
+		})
 }
 
 // Fig4Row is one program's intra-procedural weight-matching scores (%).
@@ -115,59 +120,30 @@ type Fig4Row struct {
 
 // Figure4 scores the intra-procedural estimators at the paper's 5%
 // cutoff.
-func Figure4(data []*ProgramData) ([]Fig4Row, error) {
-	return Figure4At(data, 0.05)
-}
-
-// Figure4At scores the intra-procedural estimators at an arbitrary
-// cutoff (used by ablations).
-func Figure4At(data []*ProgramData, cutoff float64) ([]Fig4Row, error) {
+func Figure4(data []*ProgramData) []Fig4Row {
+	const cutoff = 0.05
 	var rows []Fig4Row
 	for _, d := range data {
 		sp := scoreSpan("f4", d.Prog.Name)
-		loop, err := intraScore(d, intraEstimateVectors(d.Est.IntraLoop), cutoff)
-		if err != nil {
-			return nil, err
-		}
-		smart, err := intraScore(d, intraEstimateVectors(d.Est.IntraSmart), cutoff)
-		if err != nil {
-			return nil, err
-		}
-		markov, err := intraScore(d, intraEstimateVectors(d.Est.IntraMarkov), cutoff)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := intraProfilingScore(d, cutoff)
-		if err != nil {
-			return nil, err
-		}
 		rows = append(rows, Fig4Row{
 			Program: d.Prog.Name,
-			Loop:    loop * 100, Smart: smart * 100,
-			Markov: markov * 100, Profile: prof * 100,
+			Loop:    intraScore(d, static(intraEstimateVectors(d.Est.IntraLoop)), cutoff) * 100,
+			Smart:   intraScore(d, static(intraEstimateVectors(d.Est.IntraSmart)), cutoff) * 100,
+			Markov:  intraScore(d, static(intraEstimateVectors(d.Est.IntraMarkov)), cutoff) * 100,
+			Profile: intraScore(d, func(i int) [][]float64 { return d.HeldOut[i].BlockCounts }, cutoff) * 100,
 		})
 		sp.End()
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure4 renders Figure 4.
 func RenderFigure4(rows []Fig4Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 4: intra-procedural weight-matching scores (5% cutoff)\n\n")
-	t := texttab.New("program", "loop", "smart", "markov", "profiling").AlignRight(1, 2, 3, 4)
-	var a, b, c, p float64
-	for _, r := range rows {
-		t.Row(r.Program, r.Loop, r.Smart, r.Markov, r.Profile)
-		a += r.Loop
-		b += r.Smart
-		c += r.Markov
-		p += r.Profile
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", a/n, b/n, c/n, p/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable("Figure 4: intra-procedural weight-matching scores (5% cutoff)\n\n",
+		[]string{"loop", "smart", "markov", "profiling"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.Loop, r.Smart, r.Markov, r.Profile}
+		})
 }
 
 // Fig5Row is one program's function-invocation weight-matching scores
@@ -184,77 +160,42 @@ type Fig5Row struct {
 
 // Figure5 scores the invocation estimators at the given cutoff
 // (Figure 5a uses 25%; 5b compares direct/markov at 10%; 5c at 25%).
-func Figure5(data []*ProgramData, cutoff float64) ([]Fig5Row, error) {
+func Figure5(data []*ProgramData, cutoff float64) []Fig5Row {
 	var rows []Fig5Row
 	for _, d := range data {
 		sp := scoreSpan("f5", d.Prog.Name)
-		row := Fig5Row{Program: d.Prog.Name}
-		for _, c := range []struct {
-			est []float64
-			out *float64
-		}{
-			{d.Est.Inter.CallSite, &row.CallSite},
-			{d.Est.Inter.Direct, &row.Direct},
-			{d.Est.Inter.AllRec, &row.AllRec},
-			{d.Est.Inter.AllRec2, &row.AllRec2},
-			{d.Est.InterMarkov.Inv, &row.Markov},
-		} {
-			v, err := invocationScore(d, c.est, cutoff)
-			if err != nil {
-				return nil, err
-			}
-			*c.out = v * 100
-		}
-		p, err := invocationProfilingScore(d, cutoff)
-		if err != nil {
-			return nil, err
-		}
-		row.Profile = p * 100
-		rows = append(rows, row)
+		score := func(est func(int) []float64) float64 { return invocationScore(d, est, cutoff) * 100 }
+		rows = append(rows, Fig5Row{
+			Program:  d.Prog.Name,
+			CallSite: score(static(d.Est.Inter.CallSite)),
+			Direct:   score(static(d.Est.Inter.Direct)),
+			AllRec:   score(static(d.Est.Inter.AllRec)),
+			AllRec2:  score(static(d.Est.Inter.AllRec2)),
+			Markov:   score(static(d.Est.InterMarkov.Inv)),
+			Profile:  score(func(i int) []float64 { return d.HeldOut[i].FuncCalls }),
+		})
 		sp.End()
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure5a renders the simple-estimator comparison at 25%.
 func RenderFigure5a(rows []Fig5Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 5a: function-invocation scores, simple estimators (25% cutoff)\n\n")
-	t := texttab.New("program", "call_site", "direct", "all_rec", "all_rec2", "profiling").
-		AlignRight(1, 2, 3, 4, 5)
-	var a, b, c, d2, p float64
-	for _, r := range rows {
-		t.Row(r.Program, r.CallSite, r.Direct, r.AllRec, r.AllRec2, r.Profile)
-		a += r.CallSite
-		b += r.Direct
-		c += r.AllRec
-		d2 += r.AllRec2
-		p += r.Profile
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", a/n, b/n, c/n, d2/n, p/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable("Figure 5a: function-invocation scores, simple estimators (25% cutoff)\n\n",
+		[]string{"call_site", "direct", "all_rec", "all_rec2", "profiling"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.CallSite, r.Direct, r.AllRec, r.AllRec2, r.Profile}
+		})
 }
 
 // RenderFigure5bc renders the direct/markov/profiling comparison at a
 // cutoff (Figure 5b at 10%, 5c at 25%).
 func RenderFigure5bc(rows []Fig5Row, cutoffPct int, letter string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 5%s: direct vs Markov vs profiling (%d%% cutoff)\n\n",
-		letter, cutoffPct)
-	t := texttab.New("program", "direct", "markov", "profiling").AlignRight(1, 2, 3)
-	var b, m, p float64
-	for _, r := range rows {
-		t.Row(r.Program, r.Direct, r.Markov, r.Profile)
-		b += r.Direct
-		m += r.Markov
-		p += r.Profile
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", b/n, m/n, p/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable(fmt.Sprintf("Figure 5%s: direct vs Markov vs profiling (%d%% cutoff)\n\n", letter, cutoffPct),
+		[]string{"direct", "markov", "profiling"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.Direct, r.Markov, r.Profile}
+		})
 }
 
 // Fig9Row is one program's call-site weight-matching scores (%) at the
@@ -267,52 +208,29 @@ type Fig9Row struct {
 }
 
 // Figure9 scores global call-site frequency estimates.
-func Figure9(data []*ProgramData) ([]Fig9Row, error) {
-	return Figure9At(data, 0.25)
-}
-
-// Figure9At scores call-site estimates at an arbitrary cutoff.
-func Figure9At(data []*ProgramData, cutoff float64) ([]Fig9Row, error) {
+func Figure9(data []*ProgramData) []Fig9Row {
+	const cutoff = 0.25
 	var rows []Fig9Row
 	for _, d := range data {
 		sp := scoreSpan("f9", d.Prog.Name)
-		direct, err := callSiteScore(d, d.Est.SiteFreqDirect, cutoff)
-		if err != nil {
-			return nil, err
-		}
-		markov, err := callSiteScore(d, d.Est.SiteFreqMarkov, cutoff)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := callSiteProfilingScore(d, cutoff)
-		if err != nil {
-			return nil, err
-		}
 		rows = append(rows, Fig9Row{
 			Program: d.Prog.Name,
-			Direct:  direct * 100, Markov: markov * 100, Profile: prof * 100,
+			Direct:  callSiteScore(d, static(d.Est.SiteFreqDirect), cutoff) * 100,
+			Markov:  callSiteScore(d, static(d.Est.SiteFreqMarkov), cutoff) * 100,
+			Profile: callSiteScore(d, func(i int) []float64 { return d.HeldOut[i].CallSiteCounts }, cutoff) * 100,
 		})
 		sp.End()
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure9 renders Figure 9.
 func RenderFigure9(rows []Fig9Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 9: call-site weight-matching scores (25% cutoff, direct sites only)\n\n")
-	t := texttab.New("program", "direct", "markov", "profiling").AlignRight(1, 2, 3)
-	var b, m, p float64
-	for _, r := range rows {
-		t.Row(r.Program, r.Direct, r.Markov, r.Profile)
-		b += r.Direct
-		m += r.Markov
-		p += r.Profile
-	}
-	n := float64(len(rows))
-	t.Row("AVERAGE", b/n, m/n, p/n)
-	sb.WriteString(t.String())
-	return sb.String()
+	return averagedTable("Figure 9: call-site weight-matching scores (25% cutoff, direct sites only)\n\n",
+		[]string{"direct", "markov", "profiling"}, len(rows), func(i int) (string, []float64) {
+			r := rows[i]
+			return r.Program, []float64{r.Direct, r.Markov, r.Profile}
+		})
 }
 
 // Fig10Curve is one ordering's speedup curve in the selective
@@ -340,17 +258,13 @@ func Figure10(d *ProgramData, optFactor float64) ([]Fig10Curve, error) {
 	ks := []int{0, 1, 2, 3, 4, 5, 6, nf}
 
 	// The three orderings the paper compares.
-	restAgg, err := profileAggregate(others(d.Profiles, 0))
-	if err != nil {
-		return nil, err
-	}
 	orderings := []struct {
 		name string
 		rank []int
 	}{
 		{"estimate", rankDesc(d.Est.InterMarkov.Inv)},
 		{"profile", rankDesc(d.Profiles[0].FuncCalls)},
-		{"aggregate", rankDesc(restAgg.FuncCalls)},
+		{"aggregate", rankDesc(d.HeldOut[0].FuncCalls)},
 	}
 
 	base, err := RunCycles(d, timing, nil, optFactor)
@@ -374,13 +288,6 @@ func Figure10(d *ProgramData, optFactor float64) ([]Fig10Curve, error) {
 		curves = append(curves, curve)
 	}
 	return curves, nil
-}
-
-func profileAggregate(ps []*profile.Profile) (*profile.Profile, error) {
-	if len(ps) == 1 {
-		return ps[0], nil
-	}
-	return profile.Aggregate(ps)
 }
 
 // RenderFigure10 renders the speedup curves.

@@ -56,15 +56,11 @@ func OptProgram(d *ProgramData) ([]OptRow, error) {
 	sp := Observer().StartSpan("opt.agree", obs.KV("prog", d.Prog.Name))
 	defer sp.End()
 
-	self, err := profile.Aggregate(d.Profiles)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", d.Prog.Name, err)
-	}
-	xp, err := FreqSource(d.Unit, d.Est, d.Profiles, "xprof")
+	xp, err := FreqSource(d.Unit, d.Est, &d.Baseline, "xprof")
 	if err != nil {
 		return nil, err
 	}
-	return AgreementRows(d.Prog.Name, d.Unit, d.Est, self, xp)
+	return AgreementRows(d.Prog.Name, d.Unit, d.Est, d.Self, xp)
 }
 
 // AgreementRows computes decision-agreement rows for one compiled unit

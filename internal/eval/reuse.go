@@ -11,7 +11,6 @@ import (
 	"staticest/internal/metric"
 	"staticest/internal/obs"
 	"staticest/internal/opt"
-	"staticest/internal/profile"
 	"staticest/internal/reuse"
 	"staticest/internal/texttab"
 )
@@ -96,11 +95,7 @@ func ReuseProgram(d *ProgramData) (*ReuseProgramResult, error) {
 	// are exactly its distinct addresses.
 	distinct := measured.Total.Cold() / float64(traced)
 
-	self, err := profile.Aggregate(d.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	selfSrc := opt.ProfileSource(d.Unit.CFG, self, "profile")
+	selfSrc := opt.ProfileSource(d.Unit.CFG, d.Self, "profile")
 	measMiss := reuse.ObjectMissRatio(tab, measured, reuse.DefaultCapacity)
 
 	result := &ReuseProgramResult{Program: d.Prog.Name, Refs: len(tab.Refs), Measured: measured}

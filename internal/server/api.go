@@ -579,18 +579,16 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 
 	// Measured-profile sources and profile-scored reports need the
 	// suite's inputs.
-	var profs []*profile.Profile
+	var base *eval.Baseline
 	var selfSrc *opt.Source
 	if kind == "profile" || kind == "xprof" || want["layout"] || want["spill"] {
 		if prog == nil {
 			return nil, errBadRequest("freq_source %q and the layout/spill reports compare against measured profiles and need a suite program", kind)
 		}
-		if profs, err = c.profiles(prog); err != nil {
+		if base, err = c.baseline(prog); err != nil {
 			return nil, errUnprocessable("profiling %s: %v", prog.Name, err)
 		}
-		if selfSrc, err = eval.FreqSource(u, est, profs, "profile"); err != nil {
-			return nil, errUnprocessable("%v", err)
-		}
+		selfSrc = opt.ProfileSource(u.CFG, base.Self, "profile")
 	}
 
 	var fsrc *opt.Source
@@ -611,7 +609,7 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 		}
 	}
 	if fsrc == nil {
-		if fsrc, err = eval.FreqSource(u, est, profs, srcKind); err != nil {
+		if fsrc, err = eval.FreqSource(u, est, base, srcKind); err != nil {
 			return nil, errUnprocessable("%v", err)
 		}
 	}
@@ -776,10 +774,11 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	profs, err := c.profiles(p)
+	base, err := c.baseline(p)
 	if err != nil {
 		return nil, errUnprocessable("profiling %s: %v", p.Name, err)
 	}
+	profs := base.Profiles
 	idx := 0
 	if in := q.Get("input"); in != "" {
 		found := false

@@ -12,7 +12,6 @@ import (
 	"staticest/internal/eval"
 	"staticest/internal/obs"
 	"staticest/internal/probes"
-	"staticest/internal/profile"
 	"staticest/internal/suite"
 )
 
@@ -32,9 +31,9 @@ type compiled struct {
 	planOnce sync.Once
 	plan     *probes.Plan
 
-	profOnce sync.Once
-	profs    []*profile.Profile
-	profErr  error
+	baseOnce sync.Once
+	base     eval.Baseline
+	baseErr  error
 
 	// memo caches fully-encoded response bodies keyed by an options
 	// string (e.g. "estimate|top=10|reuse=false"). Each entry is
@@ -73,12 +72,13 @@ func (c *compiled) probePlan() *probes.Plan {
 	return c.plan
 }
 
-// profiles returns the unit's profiles on each input of suite program
-// p, whose source it compiled, running them on first use. The runs are
-// deterministic, so an error is memoized like a result.
-func (c *compiled) profiles(p *suite.Program) ([]*profile.Profile, error) {
-	c.profOnce.Do(func() { c.profs, c.profErr = eval.ProfileInputs(c.unit, p) })
-	return c.profs, c.profErr
+// baseline returns the unit's profiles on each input of suite program
+// p, whose source it compiled, and their aggregates, running and
+// aggregating them on first use. The runs are deterministic, so an
+// error is memoized like a result.
+func (c *compiled) baseline(p *suite.Program) (*eval.Baseline, error) {
+	c.baseOnce.Do(func() { c.base, c.baseErr = eval.ProfileInputs(c.unit, p) })
+	return &c.base, c.baseErr
 }
 
 // response returns the encoded response body for key, building and

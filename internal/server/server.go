@@ -10,8 +10,7 @@
 //
 // Robustness is part of the contract: every API request runs under a
 // panic-to-500 recovery layer, a wall-clock timeout, a request-body
-// size cap, and a bounded worker semaphore sized from the same
-// parallelism knob as the evaluation harness (eval.Parallelism). The
+// size cap, and a bounded worker semaphore (Config.MaxConcurrent). The
 // server always carries an observability domain: per-endpoint RED
 // instrumentation (request/response counters by status class, latency
 // histograms), cache-hit vs compile-path latency histograms,
@@ -35,12 +34,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
 	"staticest"
-	"staticest/internal/eval"
 	"staticest/internal/ingest"
 	"staticest/internal/obs"
 )
@@ -50,9 +49,6 @@ import (
 type Config struct {
 	// CacheSize bounds the compiled-unit LRU (default 64 units).
 	CacheSize int
-	// MaxBatchItems caps the item count of one POST /v1/batch request;
-	// larger batches get 413 (default 256).
-	MaxBatchItems int
 	// MaxBodyBytes caps request bodies (default 4 MiB — the largest
 	// suite source is well under 1 MiB).
 	MaxBodyBytes int64
@@ -61,8 +57,7 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxConcurrent bounds API requests doing pipeline work at once;
 	// excess requests queue on the semaphore for at most QueueWait
-	// (default eval.Parallelism(), i.e. the harness's worker-pool
-	// width).
+	// (default runtime.GOMAXPROCS(0); cmd/serve sets it from -j).
 	MaxConcurrent int
 	// QueueWait bounds how long a request may wait for a worker slot
 	// when the semaphore is saturated; past it the server sheds load
@@ -84,9 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
@@ -94,7 +86,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 60 * time.Second
 	}
 	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = eval.Parallelism()
+		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = 500 * time.Millisecond

@@ -356,16 +356,17 @@ func jsonString(s string) string {
 	return string(b)
 }
 
-// TestSuiteProfilesShared fires concurrent optimize and explain
-// requests for one suite program: they share one cache entry and its
-// memoized profiles, so there is exactly one compile and every reply
-// of a kind is byte-identical. Under -race this also checks the
-// profiles' sync.Once.
+// TestSuiteProfilesShared fires concurrent optimize (smart and xprof)
+// and explain requests for one suite program: they share one cache
+// entry and its memoized profiles and aggregates, so there is exactly
+// one compile and every reply of a kind is byte-identical. Under -race
+// this also checks the baseline's sync.Once and that no request writes
+// the shared aggregates.
 func TestSuiteProfilesShared(t *testing.T) {
+	const n = 9
 	o := obs.New()
-	_, ts := newTestServer(t, server.Config{Obs: o, MaxConcurrent: 8})
+	_, ts := newTestServer(t, server.Config{Obs: o, MaxConcurrent: n})
 
-	const n = 8
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	statuses := make([]int, n)
@@ -377,10 +378,14 @@ func TestSuiteProfilesShared(t *testing.T) {
 			<-start
 			var resp *http.Response
 			var err error
-			if i%2 == 0 {
+			switch i % 3 {
+			case 0:
 				resp, err = http.Post(ts.URL+"/v1/optimize", "application/json",
 					strings.NewReader(`{"program":"compress","reports":["layout","spill"]}`))
-			} else {
+			case 1:
+				resp, err = http.Post(ts.URL+"/v1/optimize", "application/json",
+					strings.NewReader(`{"program":"compress","freq_source":"xprof"}`))
+			default:
 				resp, err = http.Get(ts.URL + "/v1/explain?program=compress&input=text1")
 			}
 			if err != nil {
@@ -399,8 +404,8 @@ func TestSuiteProfilesShared(t *testing.T) {
 		if statuses[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d, body %s", i, statuses[i], bodies[i])
 		}
-		if !bytes.Equal(bodies[i], bodies[i%2]) {
-			t.Errorf("request %d: response differs from request %d", i, i%2)
+		if !bytes.Equal(bodies[i], bodies[i%3]) {
+			t.Errorf("request %d: response differs from request %d", i, i%3)
 		}
 	}
 	if miss := o.Counter("server_cache_miss").Value(); miss != 1 {
@@ -409,23 +414,12 @@ func TestSuiteProfilesShared(t *testing.T) {
 }
 
 // TestOptimizeAgreesWithEval ties the served optimizer reports to the
-// offline agreement experiment: for compress under the smart source,
-// /v1/optimize's mean spill tau and the smart layout's fall-through
-// equal the smart row of eval.OptProgram exactly.
+// offline agreement experiment: for compress under the smart source and
+// the xprof profile source, /v1/optimize's mean spill tau and the
+// source's layout fall-through equal that source's row of
+// eval.OptProgram exactly.
 func TestOptimizeAgreesWithEval(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	status, body := post(t, ts.URL+"/v1/optimize", `{"program":"compress","freq_source":"smart"}`)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
-	var resp server.OptimizeResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Spill == nil || resp.Layout == nil {
-		t.Fatalf("response lacks the spill or layout report: %s", body)
-	}
-
 	p, err := suite.ByName("compress")
 	if err != nil {
 		t.Fatal(err)
@@ -438,30 +432,44 @@ func TestOptimizeAgreesWithEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var smart *eval.OptRow
-	for i := range rows {
-		if rows[i].Source == "smart" {
-			smart = &rows[i]
-		}
-	}
-	if smart == nil {
-		t.Fatal("eval.OptProgram has no smart row")
-	}
 
-	if resp.Spill.MeanTau != smart.SpillTau {
-		t.Errorf("spill mean_tau: served %v, eval %v", resp.Spill.MeanTau, smart.SpillTau)
-	}
-	found := false
-	for _, c := range resp.Layout.Candidates {
-		if c.Layout != "smart" {
-			continue
+	for _, source := range []string{"smart", "xprof"} {
+		status, body := post(t, ts.URL+"/v1/optimize", `{"program":"compress","freq_source":"`+source+`"}`)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", source, status, body)
 		}
-		found = true
-		if c.FallThrough != smart.FallThrough {
-			t.Errorf("smart fall_through: served %v, eval %v", c.FallThrough, smart.FallThrough)
+		var resp server.OptimizeResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("no smart layout candidate in %s", body)
+		if resp.Spill == nil || resp.Layout == nil {
+			t.Fatalf("%s: response lacks the spill or layout report: %s", source, body)
+		}
+		var row *eval.OptRow
+		for i := range rows {
+			if rows[i].Source == source {
+				row = &rows[i]
+			}
+		}
+		if row == nil {
+			t.Fatalf("eval.OptProgram has no %s row", source)
+		}
+
+		if resp.Spill.MeanTau != row.SpillTau {
+			t.Errorf("%s spill mean_tau: served %v, eval %v", source, resp.Spill.MeanTau, row.SpillTau)
+		}
+		found := false
+		for _, c := range resp.Layout.Candidates {
+			if c.Layout != source {
+				continue
+			}
+			found = true
+			if c.FallThrough != row.FallThrough {
+				t.Errorf("%s fall_through: served %v, eval %v", source, c.FallThrough, row.FallThrough)
+			}
+		}
+		if !found {
+			t.Errorf("no %s layout candidate in %s", source, body)
+		}
 	}
 }
