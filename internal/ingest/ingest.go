@@ -102,7 +102,7 @@ type Store struct {
 // NewStore pre-registers a counter per reason so the full
 // ingest_rejects_total family is present in the exposition from the
 // first scrape — a soak that rejected nothing still proves the series
-// exist (scripts/fleet_soak.sh checks for them).
+// exist (scripts/soak.sh checks for them).
 var rejectReasons = []string{"unknown_fingerprint", "invalid", "shape", "duplicate"}
 
 // NewStore creates an empty store reporting to o (nil disables

@@ -49,7 +49,7 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// NewHistogram builds a standalone histogram (clients like cmd/fleet
+// NewHistogram builds a standalone histogram (clients like cmd/loadtest
 // and the benchmarks aggregate latencies without a full Observer).
 func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
 
