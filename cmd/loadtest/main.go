@@ -335,8 +335,7 @@ func (d *driver) body(rng *rand.Rand) []byte {
 
 // upload sends the next probe vector; upload 0 also registers the unit.
 // The upload ID doubles as the request ID, so this upload's server-side
-// span tree is findable by the same name that the ingest store
-// deduplicates on.
+// span tree is findable by the same name that ingest deduplicates on.
 func (d *driver) upload() (int, error) {
 	k := d.nextUpload.Add(1) - 1
 	req := d.ingests[k%int64(len(d.ingests))]

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -187,7 +188,7 @@ func ReuseOracle(u *staticest.Unit, opts staticest.RunOptions) []Failure {
 
 // IngestOracle pushes the program through the online-aggregation
 // pipeline and demands it agree with the offline one exactly: three
-// sparse uploads through an ingest.Store must snapshot to byte-for-byte
+// sparse uploads through an ingest.Live must snapshot to byte-for-byte
 // the profile.Aggregate of the same three reconstructed profiles. It
 // also demands a replayed upload ID be rejected without touching the
 // aggregate.
@@ -205,24 +206,22 @@ func IngestOracle(u *staticest.Unit) []Failure {
 		return []Failure{{Oracle: "ingest", Detail: "reconstruct: " + err.Error()}}
 	}
 
-	const fp = "oracle-unit"
-	st := ingest.NewStore(nil)
-	st.Register(fp, u.Name, plan)
+	live := ingest.NewMetrics(nil).NewLive("oracle-unit", plan)
 	var offline []*profile.Profile
 	for i := 1; i <= 3; i++ {
 		label := fmt.Sprintf("run%d", i)
-		if _, err := st.Ingest(fp, ingest.Upload{ID: label, Label: label, Vector: sparse.Probes}); err != nil {
+		if _, err := live.Ingest(context.Background(), ingest.Upload{ID: label, Label: label, Vector: sparse.Probes}); err != nil {
 			return []Failure{{Oracle: "ingest", Detail: "upload " + label + ": " + err.Error()}}
 		}
 		q := rec.Clone()
 		q.Label = label
 		offline = append(offline, q)
 	}
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "run1", Label: "replay", Vector: sparse.Probes}); !errors.Is(err, ingest.ErrDuplicate) {
+	if _, err := live.Ingest(context.Background(), ingest.Upload{ID: "run1", Label: "replay", Vector: sparse.Probes}); !errors.Is(err, ingest.ErrDuplicate) {
 		return []Failure{{Oracle: "ingest", Detail: fmt.Sprintf("replayed upload ID: err = %v, want ErrDuplicate", err)}}
 	}
 
-	snap, ok := st.Snapshot(fp)
+	snap, ok := live.Snapshot()
 	if !ok {
 		return []Failure{{Oracle: "ingest", Detail: "no snapshot after three uploads"}}
 	}

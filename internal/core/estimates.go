@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"staticest/internal/callgraph"
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
+	"staticest/internal/sem"
 )
 
 // Estimates bundles every static estimate the paper produces for one
@@ -125,6 +127,65 @@ func (e *Estimates) Rung(name string) ([]*IntraResult, []float64, error) {
 	}
 	inv, err := e.Invocations(inter)
 	return intra, inv, err
+}
+
+// OverflowError reports an estimate that is not a finite number. The
+// AST estimators multiply one trip-count guess per loop level, so a
+// nest of 512 while loops already passes math.MaxFloat64 (4^512 =
+// 2^1024), and everything derived from such a block overflows with it.
+type OverflowError struct {
+	// Estimate names the overflowing quantity, e.g. "loop block
+	// frequency" or "markov invocation count".
+	Estimate string
+	// Func is the function the value belongs to (a call site's caller).
+	Func  string
+	Value float64
+}
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("estimate overflow: %s in %s is %v, outside the float64 range",
+		e.Estimate, e.Func, e.Value)
+}
+
+// CheckFinite returns an *OverflowError for the first estimate that is
+// infinite or NaN, or nil when every block frequency, invocation count
+// and call-site frequency is finite. sp names the functions.
+func (e *Estimates) CheckFinite(sp *sem.Program) error {
+	bad := func(v float64) bool { return math.IsInf(v, 0) || math.IsNaN(v) }
+	for _, kind := range []string{"loop", "smart", "markov"} {
+		intra, _ := e.Intra(kind)
+		for fi, r := range intra {
+			for _, v := range r.BlockFreq {
+				if bad(v) {
+					return &OverflowError{kind + " block frequency", sp.Funcs[fi].Name(), v}
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"call_site", "direct", "all_rec", "all_rec2", "markov"} {
+		inv, _ := e.Invocations(kind)
+		for fi, v := range inv {
+			if bad(v) {
+				return &OverflowError{kind + " invocation count", sp.Funcs[fi].Name(), v}
+			}
+		}
+	}
+	for _, sites := range []struct {
+		name string
+		freq []float64
+	}{
+		{"smart call-site frequency", e.SiteLocal},
+		{"markov call-site frequency", e.SiteLocalMarkov},
+		{"direct global call-site frequency", e.SiteFreqDirect},
+		{"markov global call-site frequency", e.SiteFreqMarkov},
+	} {
+		for id, v := range sites.freq {
+			if bad(v) {
+				return &OverflowError{sites.name, sp.CallSites[id].Caller.Name(), v}
+			}
+		}
+	}
+	return nil
 }
 
 // SiteGlobalFreq combines intra- and inter-procedural estimates into a

@@ -1,9 +1,9 @@
 package ingest_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -46,6 +46,8 @@ func compileLoop(t *testing.T) (*staticest.Unit, *probes.Plan, string) {
 	return u, u.PlanProbes(), staticest.Fingerprint([]byte(loopSrc))
 }
 
+var ctx = context.Background()
+
 // sparseVec runs the program under sparse instrumentation with one arg.
 func sparseVec(t *testing.T, u *staticest.Unit, plan *probes.Plan, arg string) *probes.Vector {
 	t.Helper()
@@ -66,8 +68,7 @@ func sparseVec(t *testing.T, u *staticest.Unit, plan *probes.Plan, arg string) *
 // field for field.
 func TestIngestMatchesOfflineAggregate(t *testing.T) {
 	u, plan, fp := compileLoop(t)
-	st := ingest.NewStore(nil)
-	st.Register(fp, "loop.c", plan)
+	live := ingest.NewMetrics(nil).NewLive(fp, plan)
 
 	args := []string{"3", "9", "27", "5"}
 	var offline []*profile.Profile
@@ -80,7 +81,7 @@ func TestIngestMatchesOfflineAggregate(t *testing.T) {
 		rec.Label = arg
 		offline = append(offline, rec)
 
-		rcpt, err := st.Ingest(fp, ingest.Upload{
+		n, err := live.Ingest(ctx, ingest.Upload{
 			ID:     fmt.Sprintf("u%d", i),
 			Label:  arg,
 			Vector: vec,
@@ -88,11 +89,11 @@ func TestIngestMatchesOfflineAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %q: %v", arg, err)
 		}
-		if rcpt.Uploads != i+1 || rcpt.Program != "loop.c" {
-			t.Fatalf("receipt = %+v, want uploads %d", rcpt, i+1)
+		if n != i+1 {
+			t.Fatalf("merge count = %d, want %d", n, i+1)
 		}
 
-		snap, ok := st.Snapshot(fp)
+		snap, ok := live.Snapshot()
 		if !ok {
 			t.Fatal("no snapshot after ingest")
 		}
@@ -104,53 +105,52 @@ func TestIngestMatchesOfflineAggregate(t *testing.T) {
 			t.Fatalf("after %d uploads, live aggregate differs from offline: %v", i+1, diffs[0])
 		}
 	}
-	if got := st.MergeOrder(fp); fmt.Sprint(got) != fmt.Sprint(args) {
+	if got := live.MergeOrder(); fmt.Sprint(got) != fmt.Sprint(args) {
 		t.Errorf("merge order %v, want %v", got, args)
 	}
 }
 
 // TestIngestRejections pins the defensive-validation contract: every
 // malformed upload maps to its sentinel error, bumps a distinct reject
-// counter, and leaves the aggregate untouched.
+// counter, and leaves the aggregate untouched. (Unknown fingerprints
+// are counted by the server, which owns the fingerprint map; its
+// TestIngestValidation covers them.)
 func TestIngestRejections(t *testing.T) {
 	u, plan, fp := compileLoop(t)
 	o := obs.New()
-	st := ingest.NewStore(o)
-	st.Register(fp, "loop.c", plan)
+	m := ingest.NewMetrics(o)
+	live := m.NewLive(fp, plan)
 
 	good := sparseVec(t, u, plan, "4")
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "first", Label: "4", Vector: good}); err != nil {
+	if _, err := live.Ingest(ctx, ingest.Upload{ID: "first", Label: "4", Vector: good}); err != nil {
 		t.Fatalf("good upload rejected: %v", err)
 	}
-	baseline, _ := st.Snapshot(fp)
+	baseline, _ := live.Snapshot()
 
 	cases := []struct {
 		name     string
-		fp       string
 		up       ingest.Upload
 		sentinel error
 		counter  string
 	}{
-		{"unknown fingerprint", "deadbeef", ingest.Upload{Vector: good},
-			ingest.ErrUnknownFingerprint, "unknown_fingerprint"},
-		{"duplicate id", fp, ingest.Upload{ID: "first", Vector: good},
+		{"duplicate id", ingest.Upload{ID: "first", Vector: good},
 			ingest.ErrDuplicate, "duplicate"},
-		{"nil vector", fp, ingest.Upload{ID: "nilvec"},
+		{"nil vector", ingest.Upload{ID: "nilvec"},
 			ingest.ErrInvalid, "invalid"},
-		{"short vector", fp, ingest.Upload{ID: "short",
+		{"short vector", ingest.Upload{ID: "short",
 			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes-1)}},
 			ingest.ErrShape, "shape"},
-		{"long vector", fp, ingest.Upload{ID: "long",
+		{"long vector", ingest.Upload{ID: "long",
 			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes+3)}},
 			ingest.ErrShape, "shape"},
-		{"bad escape", fp, ingest.Upload{ID: "esc", Vector: &probes.Vector{
+		{"bad escape", ingest.Upload{ID: "esc", Vector: &probes.Vector{
 			Counts:  append([]float64(nil), good.Counts...),
 			Escapes: []probes.Escape{{Func: 99, Block: 0}},
 		}}, ingest.ErrInvalid, "invalid"},
 	}
 	for _, tc := range cases {
 		before := o.Counter(obs.Labels("ingest_rejects_total", "reason", tc.counter)).Value()
-		_, err := st.Ingest(tc.fp, tc.up)
+		_, err := live.Ingest(ctx, tc.up)
 		if !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.sentinel)
 		}
@@ -160,7 +160,10 @@ func TestIngestRejections(t *testing.T) {
 		}
 	}
 
-	snap, _ := st.Snapshot(fp)
+	if got := m.Rejects(); len(got) != 4 || got["invalid"] != 2 || got["shape"] != 2 || got["duplicate"] != 1 {
+		t.Errorf("Rejects() = %v, want every reason, with 2 invalid, 2 shape, 1 duplicate", got)
+	}
+	snap, _ := live.Snapshot()
 	if snap.Uploads != 1 || snap.Epoch != baseline.Epoch {
 		t.Fatalf("aggregate modified by rejected uploads: %d uploads, epoch %d",
 			snap.Uploads, snap.Epoch)
@@ -169,10 +172,10 @@ func TestIngestRejections(t *testing.T) {
 		t.Fatalf("aggregate poisoned by rejected upload: %v", diffs[0])
 	}
 	// A fresh ID with a valid vector is still accepted after the storm.
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "second", Label: "4b", Vector: sparseVec(t, u, plan, "4")}); err != nil {
+	if _, err := live.Ingest(ctx, ingest.Upload{ID: "second", Label: "4b", Vector: sparseVec(t, u, plan, "4")}); err != nil {
 		t.Fatalf("valid upload after rejections: %v", err)
 	}
-	if got := o.Counter("ingest_uploads_total").Value(); got != 2 {
+	if got := m.Uploads(); got != 2 {
 		t.Errorf("ingest_uploads_total = %d, want 2", got)
 	}
 }
@@ -183,8 +186,7 @@ func TestIngestRejections(t *testing.T) {
 // uploads in the recorded merge order — byte for byte.
 func TestIngestConcurrentUploaders(t *testing.T) {
 	u, plan, fp := compileLoop(t)
-	st := ingest.NewStore(obs.New())
-	st.Register(fp, "loop.c", plan)
+	live := ingest.NewMetrics(obs.New()).NewLive(fp, plan)
 
 	const uploaders = 32
 	// Pre-run the sparse executions (the interpreter is the slow part);
@@ -211,7 +213,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 			defer wg.Done()
 			<-start
 			label := fmt.Sprintf("n%d", i+1)
-			if _, err := st.Ingest(fp, ingest.Upload{ID: label, Label: label, Vector: vecs[label]}); err != nil {
+			if _, err := live.Ingest(ctx, ingest.Upload{ID: label, Label: label, Vector: vecs[label]}); err != nil {
 				t.Errorf("ingest %s: %v", label, err)
 			}
 		}(i)
@@ -228,7 +230,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 					return
 				default:
 				}
-				if snap, ok := st.Snapshot(fp); ok && snap.Profile.Cycles <= 0 {
+				if snap, ok := live.Snapshot(); ok && snap.Profile.Cycles <= 0 {
 					t.Error("live snapshot with non-positive cycle count")
 					return
 				}
@@ -240,7 +242,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	order := st.MergeOrder(fp)
+	order := live.MergeOrder()
 	if len(order) != uploaders {
 		t.Fatalf("merge order has %d entries, want %d", len(order), uploaders)
 	}
@@ -252,99 +254,11 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := st.Snapshot(fp)
+	snap, _ := live.Snapshot()
 	if diffs := staticest.DiffProfiles(want, snap.Profile); len(diffs) > 0 {
 		t.Fatalf("concurrent live aggregate differs from offline merge-order aggregate: %v", diffs[0])
 	}
 	if snap.Uploads != uploaders {
 		t.Fatalf("uploads = %d, want %d", snap.Uploads, uploaders)
-	}
-}
-
-// TestIngestConcurrentFingerprints drives the store's unit map from
-// many goroutines at once: 32 goroutines each Register the same 4
-// fingerprints and upload to all of them. Afterwards exactly 4 units
-// exist — in Len and in the ingest_units gauge, so a racing duplicate
-// Register never double-counts — and each unit's live aggregate equals
-// the offline profile.Aggregate of its own uploads in merge order.
-func TestIngestConcurrentFingerprints(t *testing.T) {
-	const units, uploaders = 4, 32
-	type target struct {
-		fp, name string
-		plan     *probes.Plan
-		byLabel  map[string]*profile.Profile
-		vecs     []*probes.Vector
-	}
-	targets := make([]*target, units)
-	for j := range targets {
-		src := strings.Replace(loopSrc, "i % 3", fmt.Sprintf("i %% %d", j+2), 1)
-		name := fmt.Sprintf("loop%d.c", j)
-		u, err := staticest.Compile(name, []byte(src))
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
-		}
-		tg := &target{fp: staticest.Fingerprint([]byte(src)), name: name, plan: u.PlanProbes(),
-			byLabel: make(map[string]*profile.Profile, uploaders)}
-		for i := 0; i < uploaders; i++ {
-			vec := sparseVec(t, u, tg.plan, fmt.Sprint(i+1))
-			rec, err := staticest.Reconstruct(tg.plan, vec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.Label = fmt.Sprintf("g%d", i)
-			tg.byLabel[rec.Label] = rec
-			tg.vecs = append(tg.vecs, vec)
-		}
-		targets[j] = tg
-	}
-
-	o := obs.New()
-	st := ingest.NewStore(o)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < uploaders; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			label := fmt.Sprintf("g%d", i)
-			for k := range targets {
-				tg := targets[(i+k)%units] // goroutines start on different units
-				st.Register(tg.fp, tg.name, tg.plan)
-				if _, err := st.Ingest(tg.fp, ingest.Upload{ID: label, Label: label, Vector: tg.vecs[i]}); err != nil {
-					t.Errorf("ingest %s into %s: %v", label, tg.name, err)
-				}
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	if n := st.Len(); n != units {
-		t.Errorf("Len() = %d, want %d", n, units)
-	}
-	if g := o.Gauge("ingest_units").Value(); g != units {
-		t.Errorf("ingest_units gauge = %v, want %d", g, units)
-	}
-	for _, tg := range targets {
-		order := st.MergeOrder(tg.fp)
-		if len(order) != uploaders {
-			t.Fatalf("%s: merge order has %d entries, want %d", tg.name, len(order), uploaders)
-		}
-		ordered := make([]*profile.Profile, len(order))
-		for i, label := range order {
-			ordered[i] = tg.byLabel[label]
-		}
-		want, err := profile.Aggregate(ordered)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, ok := st.Snapshot(tg.fp)
-		if !ok {
-			t.Fatalf("%s: no snapshot", tg.name)
-		}
-		if diffs := staticest.DiffProfiles(want, snap.Profile); len(diffs) > 0 {
-			t.Fatalf("%s: live aggregate differs from offline merge-order aggregate: %v", tg.name, diffs[0])
-		}
 	}
 }

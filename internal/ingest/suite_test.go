@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"testing"
 
 	"staticest"
@@ -26,7 +27,7 @@ func TestLiveAggregateConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ingest.NewStore(nil)
+	m := ingest.NewMetrics(nil)
 
 	var pooledOverlap float64
 	var pooledPrograms int
@@ -34,7 +35,7 @@ func TestLiveAggregateConvergence(t *testing.T) {
 		u := d.Unit
 		plan := u.PlanProbes()
 		fp := staticest.Fingerprint([]byte(d.Prog.Source))
-		st.Register(fp, d.Prog.Name, plan)
+		live := m.NewLive(fp, plan)
 
 		// The fleet uploads the held-out inputs (all but the first), the
 		// same complement the offline report's xprof source aggregates.
@@ -52,13 +53,13 @@ func TestLiveAggregateConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: sparse run: %v", d.Prog.Name, in.Name, err)
 			}
-			if _, err := st.Ingest(fp, ingest.Upload{ID: in.Name, Label: in.Name, Vector: res.Probes}); err != nil {
+			if _, err := live.Ingest(context.Background(), ingest.Upload{ID: in.Name, Label: in.Name, Vector: res.Probes}); err != nil {
 				t.Fatalf("%s/%s: ingest: %v", d.Prog.Name, in.Name, err)
 			}
 		}
 
 		// (1) Exactness against the offline aggregate.
-		snap, ok := st.Snapshot(fp)
+		snap, ok := live.Snapshot()
 		if !ok {
 			t.Fatalf("%s: no live snapshot", d.Prog.Name)
 		}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"staticest"
+	"staticest/internal/core"
 	"staticest/internal/eval"
 	"staticest/internal/opt"
 	"staticest/internal/profile"
@@ -166,7 +167,10 @@ func (s *Server) estimateBody(c *compiled, req *EstimateRequest) ([]byte, error)
 // buildEstimate computes the estimate response value (the expensive
 // part that c.response memoizes in encoded form).
 func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
-	est := c.estimates()
+	est, err := c.estimates()
+	if err != nil {
+		return nil, err
+	}
 	u := c.unit
 
 	resp := &EstimateResponse{Program: u.Name, Fingerprint: c.fingerprint}
@@ -216,8 +220,7 @@ func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
 	}
 	resp.CallSites = sites
 	if withReuse {
-		var err error
-		resp.Reuse, err = reuseReport(c, top)
+		resp.Reuse, err = reuseReport(c, est, top)
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +231,7 @@ func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
 // reuseReport derives the static reuse-distance summaries for the
 // estimate endpoint: one line per estimator source over the program's
 // memory references, plus the hottest references under smart.
-func reuseReport(c *compiled, top int) (*ReuseReport, error) {
+func reuseReport(c *compiled, est *core.Estimates, top int) (*ReuseReport, error) {
 	tab := reuse.BuildTable(c.unit.CFG)
 	rep := &ReuseReport{Refs: len(tab.Refs)}
 	if len(tab.Refs) == 0 {
@@ -243,7 +246,7 @@ func reuseReport(c *compiled, top int) (*ReuseReport, error) {
 		return v
 	}
 	for _, kind := range opt.EstimateKinds {
-		src, err := opt.EstimateSource(c.unit.CFG, c.estimates(), kind)
+		src, err := opt.EstimateSource(c.unit.CFG, est, kind)
 		if err != nil {
 			return nil, errUnprocessable("reuse estimate: %v", err)
 		}
@@ -575,7 +578,10 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 		return nil, err
 	}
 	u := c.unit
-	est := c.estimates()
+	est, err := c.estimates()
+	if err != nil {
+		return nil, err
+	}
 
 	// Measured-profile sources and profile-scored reports need the
 	// suite's inputs.
@@ -596,11 +602,9 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 	uploads := 0
 	srcKind := kind
 	if kind == opt.LiveSourceName {
-		if ls, ok := s.liveSource(c); ok {
-			fsrc = ls
-			if snap, ok := s.ingest.Snapshot(c.fingerprint); ok {
-				uploads = snap.Uploads
-			}
+		if snap, ok := c.live.Load().Snapshot(); ok {
+			fsrc = opt.ProfileSource(u.CFG, snap.Profile, opt.LiveSourceName)
+			uploads = snap.Uploads
 		} else {
 			// Cold fingerprint: nothing ingested yet, so the static
 			// estimator serves until the fleet warms it up.
@@ -793,7 +797,11 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 			return nil, err
 		}
 	}
-	rep := eval.Explain(c.unit, c.estimates(), profs[idx], cutoff)
+	est, err := c.estimates()
+	if err != nil {
+		return nil, err
+	}
+	rep := eval.Explain(c.unit, est, profs[idx], cutoff)
 
 	resp := &ExplainResponse{
 		Program:  rep.Program,

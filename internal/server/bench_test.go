@@ -16,9 +16,8 @@ import (
 )
 
 // reportPercentiles publishes a latency histogram's tail as custom
-// benchmark metrics; scripts/bench.sh carries them into
-// BENCH_serve.json alongside ns/op, so the trajectory tracks tail
-// latency and not just the mean.
+// benchmark metrics beside ns/op, so a paired comparison
+// (cmd/benchdiff) sees tail latency and not just the mean.
 func reportPercentiles(b *testing.B, h *obs.Histogram) {
 	b.ReportMetric(h.Quantile(0.50)*1e9, "p50-ns")
 	b.ReportMetric(h.Quantile(0.99)*1e9, "p99-ns")
@@ -28,8 +27,8 @@ func reportPercentiles(b *testing.B, h *obs.Histogram) {
 // BenchmarkServeEstimate measures the serving latency of the cache-hit
 // path — the steady state of a long-lived daemon: the unit and its
 // estimates are already cached, so each request pays only routing,
-// middleware, and (memoized) response bytes. scripts/bench.sh records
-// it in the BENCH_serve.json trajectory.
+// middleware, and (memoized) response bytes. The bench-gate CI job
+// compares it between base and head.
 func BenchmarkServeEstimate(b *testing.B) {
 	s := server.New(server.Config{Obs: obs.New()})
 	ts := httptest.NewServer(s.Handler())
@@ -72,7 +71,6 @@ func BenchmarkServeEstimate(b *testing.B) {
 // (connection, routing, middleware, semaphore) is paid once for 16
 // estimates. The ns/item metric is the number to compare against
 // BenchmarkServeEstimate's ns/op — the gap is what batching saves.
-// scripts/bench.sh records it in the BENCH_serve.json trajectory.
 func BenchmarkServeBatch(b *testing.B) {
 	const items = 16
 	s := server.New(server.Config{Obs: obs.New()})
@@ -118,8 +116,8 @@ func BenchmarkServeBatch(b *testing.B) {
 // routing, JSON decoding, probe reconstruction, and the locked merge
 // into the live accumulator. The unit is registered up front, so the
 // loop never compiles; every iteration carries a fresh upload ID, so
-// every request takes the accept path. scripts/bench.sh records it in
-// the BENCH_serve.json trajectory.
+// every request takes the accept path. The bench-gate CI job compares
+// it between base and head.
 func BenchmarkIngest(b *testing.B) {
 	s := server.New(server.Config{Obs: obs.New()})
 	ts := httptest.NewServer(s.Handler())

@@ -5,11 +5,13 @@ import (
 	"container/list"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"staticest"
 	"staticest/internal/core"
 	"staticest/internal/eval"
+	"staticest/internal/ingest"
 	"staticest/internal/obs"
 	"staticest/internal/probes"
 	"staticest/internal/suite"
@@ -27,6 +29,7 @@ type compiled struct {
 
 	estOnce sync.Once
 	est     *core.Estimates
+	estErr  error
 
 	planOnce sync.Once
 	plan     *probes.Plan
@@ -43,6 +46,10 @@ type compiled struct {
 	// requests compute without memoizing.
 	memoMu sync.Mutex
 	memo   map[string]*memoBody
+
+	// live is the unit's ingest state: nil until the cache pins the
+	// unit (unitCache.pin), then set once for the unit's lifetime.
+	live atomic.Pointer[ingest.Live]
 }
 
 // maxMemoBodies bounds the per-unit response memo. The options space is
@@ -59,10 +66,17 @@ type memoBody struct {
 }
 
 // estimates returns the unit's static estimates, computing them on
-// first use.
-func (c *compiled) estimates() *core.Estimates {
-	c.estOnce.Do(func() { c.est = c.unit.Estimate() })
-	return c.est
+// first use. Estimates outside the float64 range are a 422, memoized
+// like the estimates: JSON cannot carry them, and no ranking or report
+// built on them means anything.
+func (c *compiled) estimates() (*core.Estimates, error) {
+	c.estOnce.Do(func() {
+		c.est = c.unit.Estimate()
+		if err := c.est.CheckFinite(c.unit.Sem); err != nil {
+			c.estErr = errUnprocessable("%v", err)
+		}
+	})
+	return c.est, c.estErr
 }
 
 // probePlan returns the unit's sparse probe placement, computing it on
@@ -119,10 +133,11 @@ func (c *compiled) response(key string, build func() (any, error)) ([]byte, erro
 	return m.body, m.err
 }
 
-// encodeBody serializes a response value exactly the way the api
-// middleware encodes non-memoized responses (two-space indent plus the
-// encoder's trailing newline), so memoized and freshly-encoded replies
-// are byte-identical.
+// encodeBody serializes a response value with a two-space indent and
+// the encoder's trailing newline. It is the one encoder of response
+// values — the api middleware, the response memo and the debug
+// surfaces all use it — so memoized and fresh replies are
+// byte-identical.
 func encodeBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -133,12 +148,19 @@ func encodeBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// unitCache is a bounded LRU of compiled units keyed by source
-// fingerprint, guarded by one mutex. The same lock guards the in-flight
-// compiles, which gives singleflight deduplication: when N requests for
-// the same uncached source arrive concurrently, exactly one compiles
-// and the other N-1 block on its result. Compile errors are returned to
-// every waiter but never cached — a retry recompiles.
+// unitCache is the server's one fingerprint-keyed structure: a bounded
+// LRU of compiled units, the in-flight compiles, and the pinned live
+// units, all guarded by one mutex. The in-flight map gives singleflight
+// deduplication: when N requests for the same uncached source arrive
+// concurrently, exactly one compiles and the other N-1 block on its
+// result. Compile errors are returned to every waiter but never cached
+// — a retry recompiles.
+//
+// A unit that has received a profile upload is pinned: it carries its
+// ingest state (compiled.live) and stays in pinned for the server's
+// lifetime, outside the LRU bound, so eviction cannot orphan a live
+// aggregate. get returns a pinned unit instead of recompiling it. A
+// fingerprint has at most one unit across the LRU and pinned.
 //
 // One lock is enough: a hit holds it for a map lookup and a list move,
 // well under a microsecond, against hundreds of microseconds of HTTP
@@ -149,15 +171,17 @@ type unitCache struct {
 	lru     list.List // front = most recently used; values are *compiled
 	byKey   map[string]*list.Element
 	flights map[string]*flight
+	pinned  map[string]*compiled // bounded by the fingerprints ever ingested
 
 	// hitSeconds and compileSeconds split get's latency distribution by
 	// path: a cache hit is a map lookup (microseconds), a miss pays for
 	// a compile (milliseconds) — one merged histogram would hide the
 	// miss tail entirely. Flight waiters observe into compileSeconds:
 	// they did not compile, but their latency is compile latency.
-	// Nil histograms (tests building a bare cache) record nothing.
+	// A bare cache (nil Observer) records nothing.
 	hitSeconds     *obs.Histogram
 	compileSeconds *obs.Histogram
+	ingest         *ingest.Metrics
 }
 
 // flight is one in-progress compile; waiters block on done.
@@ -167,28 +191,41 @@ type flight struct {
 	err  error
 }
 
-// newUnitCache builds a cache holding at most max units (at least one).
-func newUnitCache(max int) *unitCache {
+// newUnitCache builds a cache holding at most max units (at least one)
+// in its LRU, reporting to o.
+func newUnitCache(max int, o *obs.Observer) *unitCache {
 	if max < 1 {
 		max = 1
 	}
 	return &unitCache{
-		max:     max,
-		byKey:   make(map[string]*list.Element),
-		flights: make(map[string]*flight),
+		max:            max,
+		byKey:          make(map[string]*list.Element),
+		flights:        make(map[string]*flight),
+		pinned:         make(map[string]*compiled),
+		hitSeconds:     o.Histogram("server_cache_hit_seconds"),
+		compileSeconds: o.Histogram("server_compile_seconds"),
+		ingest:         ingest.NewMetrics(o),
 	}
 }
 
 // get returns the cached compilation for key, compiling with compile on
-// a miss. The bool reports whether this caller performed the compile
-// (the cache-miss leader); waiters deduplicated onto another caller's
-// in-flight compile report a hit, because no additional work happened.
+// a miss. A pinned unit the LRU has evicted is a hit: it re-enters the
+// LRU instead of being compiled again. The bool reports whether this
+// caller performed the compile (the cache-miss leader); waiters
+// deduplicated onto another caller's in-flight compile report a hit,
+// because no additional work happened.
 func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*compiled, bool, error) {
 	start := time.Now()
 	uc.mu.Lock()
 	if el, ok := uc.byKey[key]; ok {
 		uc.lru.MoveToFront(el)
 		c := el.Value.(*compiled)
+		uc.mu.Unlock()
+		uc.hitSeconds.ObserveSince(start)
+		return c, false, nil
+	}
+	if c, ok := uc.pinned[key]; ok {
+		uc.insertLocked(key, c)
 		uc.mu.Unlock()
 		uc.hitSeconds.ObserveSince(start)
 		return c, false, nil
@@ -212,7 +249,12 @@ func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*
 	uc.mu.Lock()
 	delete(uc.flights, key)
 	if err == nil {
-		uc.insertLocked(key, f.c)
+		if p, ok := uc.pinned[key]; ok { // pinned while this copy compiled
+			f.c = p
+		}
+		if _, ok := uc.byKey[key]; !ok {
+			uc.insertLocked(key, f.c)
+		}
 	}
 	uc.mu.Unlock()
 	close(f.done)
@@ -231,21 +273,58 @@ func (uc *unitCache) insertLocked(key string, c *compiled) {
 	}
 }
 
-// lookup returns the cached compilation for key without compiling (and
-// without disturbing an in-flight compile). Fingerprint-only requests
-// (profile ingest) use it: they can only refer to sources the server
-// has already seen.
-func (uc *unitCache) lookup(key string) (*compiled, bool) {
+// pin gives c's fingerprint its ingest state and pins the unit, and
+// returns the pinned unit: c, unless the fingerprint was pinned
+// already. c may be a copy the LRU evicted after get returned it; it
+// then replaces the copy compiled since, so the fingerprint keeps one
+// unit. The probe plan is built outside the lock.
+func (uc *unitCache) pin(c *compiled) *compiled {
+	plan := c.probePlan()
 	uc.mu.Lock()
 	defer uc.mu.Unlock()
-	if el, ok := uc.byKey[key]; ok {
-		uc.lru.MoveToFront(el)
-		return el.Value.(*compiled), true
+	if p, ok := uc.pinned[c.fingerprint]; ok {
+		return p
 	}
-	return nil, false
+	if el, ok := uc.byKey[c.fingerprint]; ok {
+		el.Value = c
+	}
+	c.live.Store(uc.ingest.NewLive(c.fingerprint, plan))
+	uc.pinned[c.fingerprint] = c
+	return c
 }
 
-// len returns the number of cached units.
+// live returns the pinned unit of key in one lookup, without touching
+// LRU recency. With promote (a fingerprint-only upload), a unit the LRU
+// holds but nothing has ingested yet is refreshed and pinned instead.
+func (uc *unitCache) live(key string, promote bool) (*compiled, bool) {
+	uc.mu.Lock()
+	if c, ok := uc.pinned[key]; ok {
+		uc.mu.Unlock()
+		return c, true
+	}
+	el, ok := uc.byKey[key]
+	if !ok || !promote {
+		uc.mu.Unlock()
+		return nil, false
+	}
+	uc.lru.MoveToFront(el)
+	c := el.Value.(*compiled)
+	uc.mu.Unlock()
+	return uc.pin(c), true
+}
+
+// pinnedUnits lists every pinned unit, in no particular order.
+func (uc *unitCache) pinnedUnits() []*compiled {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	out := make([]*compiled, 0, len(uc.pinned))
+	for _, c := range uc.pinned {
+		out = append(out, c)
+	}
+	return out
+}
+
+// len returns the number of units in the LRU.
 func (uc *unitCache) len() int {
 	uc.mu.Lock()
 	defer uc.mu.Unlock()

@@ -8,18 +8,32 @@ package server
 // exactly-once compilation per key, and byte-identical memoized bodies.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"staticest"
+	"staticest/internal/ingest"
+	"staticest/internal/obs"
+	"staticest/internal/probes"
+	"staticest/internal/profile"
 )
 
 // fakeKey fabricates a distinct fingerprint-shaped hex key per id.
 func fakeKey(id int) string {
 	return fmt.Sprintf("%064x", id)
+}
+
+// resident reports whether key is in the cache's LRU.
+func resident(uc *unitCache, key string) bool {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	_, ok := uc.byKey[key]
+	return ok
 }
 
 // compileStub returns a distinct dummy unit per call; cache tests never
@@ -35,7 +49,7 @@ func compileStub(calls *atomic.Int64) func() (*staticest.Unit, error) {
 // requesting the same uncached key race into one flight — one compile,
 // one miss leader, and every caller gets the same *compiled.
 func TestCacheSingleflight(t *testing.T) {
-	uc := newUnitCache(64)
+	uc := newUnitCache(64, nil)
 	key := fakeKey(42)
 
 	const n = 32
@@ -79,7 +93,7 @@ func TestCacheSingleflight(t *testing.T) {
 // to every waiter of its flight but never inserted: the next get for
 // the same key recompiles.
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	uc := newUnitCache(64)
+	uc := newUnitCache(64, nil)
 	key := fakeKey(7)
 	boom := errors.New("boom")
 
@@ -88,7 +102,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	if _, _, err := uc.get(key, fail); !errors.Is(err, boom) {
 		t.Fatalf("first get: err = %v, want boom", err)
 	}
-	if _, ok := uc.lookup(key); ok {
+	if resident(uc, key) {
 		t.Fatal("failed compile was cached")
 	}
 	if _, _, err := uc.get(key, fail); !errors.Is(err, boom) {
@@ -163,30 +177,36 @@ func TestCacheBoundExact(t *testing.T) {
 }
 
 // TestCacheLRURecency pins that eviction follows recency of use, not
-// insertion order: keys refreshed through get or lookup survive a flood
-// that evicts the older, untouched keys.
+// insertion order: keys refreshed through get, or through a
+// fingerprint-only upload (live), survive a flood that evicts the
+// older, untouched keys.
 func TestCacheLRURecency(t *testing.T) {
 	const size = 8
-	uc := newUnitCache(size)
+	uc := newUnitCache(size, nil)
 	var calls atomic.Int64
 	old := make([]string, size)
 	for i := range old {
 		old[i] = fakeKey(i)
-		if _, _, err := uc.get(old[i], compileStub(&calls)); err != nil {
+		// live pins, which plans probes, so these units are real.
+		tiny := func() (*staticest.Unit, error) {
+			calls.Add(1)
+			return staticest.Compile("tiny.c", []byte("int main(void) { return 0; }"))
+		}
+		if _, _, err := uc.get(old[i], tiny); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Refresh the two oldest keys through get and the next two through
-	// lookup; old[4:] stay untouched.
+	// live; old[4:] stay untouched.
 	for _, key := range old[:2] {
 		if _, missed, err := uc.get(key, compileStub(&calls)); err != nil || missed {
 			t.Fatalf("refresh get %q: missed=%v err=%v", key, missed, err)
 		}
 	}
 	for _, key := range old[2:4] {
-		if _, ok := uc.lookup(key); !ok {
-			t.Fatalf("refresh lookup %q: not resident", key)
+		if _, ok := uc.live(key, true); !ok {
+			t.Fatalf("refresh live %q: not resident", key)
 		}
 	}
 
@@ -197,17 +217,69 @@ func TestCacheLRURecency(t *testing.T) {
 		}
 	}
 	for _, key := range old[:4] {
-		if _, ok := uc.lookup(key); !ok {
+		if !resident(uc, key) {
 			t.Errorf("refreshed key %q was evicted", key)
 		}
 	}
 	for _, key := range old[4:] {
-		if _, ok := uc.lookup(key); ok {
+		if resident(uc, key) {
 			t.Errorf("untouched key %q survived; it was least recently used", key)
 		}
 	}
 	if calls.Load() != size+(size-4) {
 		t.Errorf("compiled %d times, want %d (refreshes are hits)", calls.Load(), size+(size-4))
+	}
+}
+
+// TestCachePinEvictedCopy pins the one-unit-per-fingerprint rule when a
+// request pins a unit the LRU evicted after get returned it. The
+// evicted copy wins over a fresh copy that is resident, and over one
+// whose compile is in flight, even when the pinned copy re-entered the
+// LRU before that compile finished.
+func TestCachePinEvictedCopy(t *testing.T) {
+	tiny := func() (*staticest.Unit, error) {
+		return staticest.Compile("tiny.c", []byte("int main(void) { return 0; }"))
+	}
+	a, b := fakeKey(1), fakeKey(2)
+
+	// A fresh copy is resident.
+	uc := newUnitCache(1, nil)
+	old, _, _ := uc.get(a, tiny)
+	uc.get(b, tiny)
+	if fresh, missed, _ := uc.get(a, tiny); !missed || fresh == old {
+		t.Fatal("evicted unit was not compiled again")
+	}
+	if p := uc.pin(old); p != old || old.live.Load() == nil {
+		t.Fatal("pin did not pin the evicted copy")
+	}
+	if got, missed, _ := uc.get(a, tiny); missed || got != old {
+		t.Errorf("get returned another copy than the pinned one (missed=%v)", missed)
+	}
+
+	// A fresh copy is compiling.
+	uc = newUnitCache(1, nil)
+	old, _, _ = uc.get(a, tiny)
+	uc.get(b, tiny)
+	release, leader := make(chan struct{}), make(chan *compiled)
+	go func() {
+		c, _, _ := uc.get(a, func() (*staticest.Unit, error) { <-release; return tiny() })
+		leader <- c
+	}()
+	for inFlight := false; !inFlight; {
+		uc.mu.Lock()
+		_, inFlight = uc.flights[a]
+		uc.mu.Unlock()
+	}
+	uc.pin(old)
+	if got, missed, _ := uc.get(a, tiny); missed || got != old {
+		t.Errorf("get during the flight returned another copy than the pinned one (missed=%v)", missed)
+	}
+	close(release)
+	if c := <-leader; c != old {
+		t.Error("the flight's leader got its own copy, not the pinned one")
+	}
+	if !resident(uc, a) || uc.len() != 1 {
+		t.Errorf("after the flight: resident=%v, %d LRU entries; want the pinned unit as the one entry", resident(uc, a), uc.len())
 	}
 }
 
@@ -219,7 +291,7 @@ func TestCacheLRURecency(t *testing.T) {
 // compile at least once, and every get observes a usable result.
 func TestCacheConcurrentMixed(t *testing.T) {
 	const bound = 16
-	uc := newUnitCache(bound)
+	uc := newUnitCache(bound, nil)
 
 	// 8 hot keys are requested by every goroutine (hits + flights);
 	// cold keys are unique per iteration (misses + evictions).
@@ -259,7 +331,8 @@ func TestCacheConcurrentMixed(t *testing.T) {
 						return
 					}
 				case 3: // reads race the writes
-					uc.lookup(hot[(g+i)%len(hot)])
+					uc.live(hot[(g+i)%len(hot)], false)
+					uc.pinnedUnits()
 					uc.len()
 				}
 			}
@@ -373,5 +446,145 @@ func TestResponseMemoBound(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("overflow key built %d times, want 2 (not memoized past the bound)", calls.Load())
+	}
+}
+
+// loopSrc iterates argv[1] times, so different args give different
+// profiles for a live aggregate to merge. MOD varies the source, and so
+// the fingerprint.
+const loopSrc = `
+int work(int n) {
+	int i, s;
+	s = 0;
+	for (i = 0; i < n; i++) {
+		if (i % MOD == 0)
+			s = s + i;
+		else
+			s = s - 1;
+	}
+	return s;
+}
+int main(int argc, char **argv) {
+	int n;
+	n = 7;
+	if (argc > 1)
+		n = atoi(argv[1]);
+	return work(n) & 15;
+}
+`
+
+// TestIngestConcurrentFingerprints races pins of the same 4
+// fingerprints through a cache too small to hold them, so evictions,
+// recompiles and pins of evicted copies interleave. 32 goroutines each
+// resolve every fingerprint, half through get and pin (the
+// source-upload path) and half through live (the fingerprint-only
+// path), and upload to it. Afterwards exactly 4 units are pinned and
+// the ingest_units gauge reads 4, so a racing duplicate pin never
+// double-counts; get returns the pinned unit, so a fingerprint has one
+// unit; and each unit's live aggregate equals the offline
+// profile.Aggregate of its own uploads in merge order.
+func TestIngestConcurrentFingerprints(t *testing.T) {
+	const units, uploaders = 4, 32
+	type target struct {
+		fp, name string
+		compile  func() (*staticest.Unit, error)
+		byLabel  map[string]*profile.Profile
+		vecs     []*probes.Vector
+	}
+	targets := make([]*target, units)
+	for j := range targets {
+		src := []byte(strings.Replace(loopSrc, "MOD", fmt.Sprint(j+2), 1))
+		name := fmt.Sprintf("loop%d.c", j)
+		u, err := staticest.Compile(name, src)
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		plan := u.PlanProbes()
+		tg := &target{fp: staticest.Fingerprint(src), name: name,
+			compile: func() (*staticest.Unit, error) { return staticest.Compile(name, src) },
+			byLabel: make(map[string]*profile.Profile, uploaders)}
+		for i := 0; i < uploaders; i++ {
+			res, err := u.Run(staticest.RunOptions{Args: []string{fmt.Sprint(i + 1)},
+				Instrumentation: staticest.SparseInstrumentation, Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := staticest.Reconstruct(plan, res.Probes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Label = fmt.Sprintf("g%d", i)
+			tg.byLabel[rec.Label] = rec
+			tg.vecs = append(tg.vecs, res.Probes)
+		}
+		targets[j] = tg
+	}
+
+	o := obs.New()
+	uc := newUnitCache(2, o)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < uploaders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			label := fmt.Sprintf("g%d", i)
+			for k := range targets {
+				tg := targets[(i+k)%units] // goroutines start on different units
+				c, _, err := uc.get(tg.fp, tg.compile)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if lc, ok := uc.live(tg.fp, true); ok && i%2 == 1 {
+					c = lc
+				} else {
+					c = uc.pin(c)
+				}
+				if _, err := c.live.Load().Ingest(context.Background(),
+					ingest.Upload{ID: label, Label: label, Vector: tg.vecs[i]}); err != nil {
+					t.Errorf("ingest %s into %s: %v", label, tg.name, err)
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if n := len(uc.pinnedUnits()); n != units {
+		t.Errorf("%d pinned units, want %d", n, units)
+	}
+	if g := o.Gauge("ingest_units").Value(); g != units {
+		t.Errorf("ingest_units gauge = %v, want %d", g, units)
+	}
+	for _, tg := range targets {
+		c, ok := uc.live(tg.fp, false)
+		if !ok {
+			t.Fatalf("%s: not pinned", tg.name)
+		}
+		if g, _, err := uc.get(tg.fp, tg.compile); err != nil || g != c {
+			t.Errorf("%s: get returns a unit other than the pinned one (err %v)", tg.name, err)
+		}
+		live := c.live.Load()
+		order := live.MergeOrder()
+		if len(order) != uploaders {
+			t.Fatalf("%s: merge order has %d entries, want %d", tg.name, len(order), uploaders)
+		}
+		ordered := make([]*profile.Profile, len(order))
+		for i, label := range order {
+			ordered[i] = tg.byLabel[label]
+		}
+		want, err := profile.Aggregate(ordered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := live.Snapshot()
+		if !ok {
+			t.Fatalf("%s: no snapshot", tg.name)
+		}
+		if diffs := staticest.DiffProfiles(want, snap.Profile); len(diffs) > 0 {
+			t.Fatalf("%s: live aggregate differs from offline merge-order aggregate: %v", tg.name, diffs[0])
+		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"sort"
@@ -270,7 +269,7 @@ type StatusResponse struct {
 }
 
 func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
-	s.sampleRuntime()
+	rt := s.sampleRuntime()
 	hits, misses := s.hits.Value(), s.misses.Value()
 	ratio := 0.0
 	if hits+misses > 0 {
@@ -291,55 +290,47 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 			ItemErrors: s.batchItemErrors.Value(),
 		},
 		Ingest: IngestStatus{
-			Units:   s.ingest.Len(),
+			Units:   len(s.cache.pinnedUnits()),
+			Uploads: s.cache.ingest.Uploads(),
 			Shed:    s.shed.Value(),
-			Rejects: map[string]int64{},
+			Rejects: s.cache.ingest.Rejects(),
 		},
 		Endpoints: map[string]obs.Summary{},
-	}
-	for name, v := range s.obs.Snapshot() {
-		switch {
-		case name == "ingest_uploads_total":
-			resp.Ingest.Uploads = int64(v)
-		case strings.HasPrefix(name, `ingest_rejects_total{reason="`):
-			reason := strings.TrimSuffix(strings.TrimPrefix(name, `ingest_rejects_total{reason="`), `"}`)
-			resp.Ingest.Rejects[reason] = int64(v)
-		}
+		Runtime:   rt,
 	}
 	for _, ep := range s.endpoints {
 		resp.Endpoints[ep] = s.obs.Histogram(obs.Labels("server_request_seconds", "endpoint", ep)).Summarize()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	resp.Runtime = RuntimeStatus{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapSysBytes:   ms.HeapSys,
-		GCRuns:         ms.NumGC,
-		GCPauseSeconds: float64(ms.PauseTotalNs) / 1e9,
 	}
 	writeDebugJSON(w, resp)
 }
 
 func writeDebugJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	body, _ := encodeBody(v) // debug values are plain structs JSON always carries
+	w.Write(body)
 }
 
 // --- runtime gauges ---------------------------------------------------------
 
-// sampleRuntime refreshes the runtime_* gauges from the Go runtime.
-// /metrics and /v1/debug/status call it per scrape, and Serve once on
-// return, so every exposition carries current values without a
-// background ticker.
-func (s *Server) sampleRuntime() {
+// sampleRuntime refreshes the runtime_* gauges from the Go runtime and
+// returns the same sample. /metrics and /v1/debug/status call it per
+// scrape, and Serve once on return, so every exposition carries current
+// values without a background ticker. It reads runtime.MemStats once
+// per call: each read stops the world.
+func (s *Server) sampleRuntime() RuntimeStatus {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.obs.Gauge("runtime_goroutines").Set(float64(runtime.NumGoroutine()))
-	s.obs.Gauge("runtime_heap_alloc_bytes").Set(float64(ms.HeapAlloc))
-	s.obs.Gauge("runtime_heap_sys_bytes").Set(float64(ms.HeapSys))
-	s.obs.Gauge("runtime_gc_runs_total").Set(float64(ms.NumGC))
-	s.obs.Gauge("runtime_gc_pause_seconds_total").Set(float64(ms.PauseTotalNs) / 1e9)
+	rt := RuntimeStatus{
+		Goroutines:     runtime.NumGoroutine(),
+		HeapAllocBytes: ms.HeapAlloc,
+		HeapSysBytes:   ms.HeapSys,
+		GCRuns:         ms.NumGC,
+		GCPauseSeconds: float64(ms.PauseTotalNs) / 1e9,
+	}
+	s.obs.Gauge("runtime_goroutines").Set(float64(rt.Goroutines))
+	s.obs.Gauge("runtime_heap_alloc_bytes").Set(float64(rt.HeapAllocBytes))
+	s.obs.Gauge("runtime_heap_sys_bytes").Set(float64(rt.HeapSysBytes))
+	s.obs.Gauge("runtime_gc_runs_total").Set(float64(rt.GCRuns))
+	s.obs.Gauge("runtime_gc_pause_seconds_total").Set(rt.GCPauseSeconds)
+	return rt
 }

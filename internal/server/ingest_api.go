@@ -4,18 +4,19 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sort"
 
 	"staticest/internal/eval"
 	"staticest/internal/ingest"
-	"staticest/internal/opt"
 	"staticest/internal/probes"
 )
 
 // This file is the serving side of the PGO loop: fleet clients upload
-// sparse probe vectors (POST /v1/profiles/ingest), the store merges
-// them into live per-unit aggregates, and /v1/profiles/stats reports
-// each aggregate plus — on request — the decision-agreement rows the
-// offline eval harness computes, recalculated from the live aggregate.
+// sparse probe vectors (POST /v1/profiles/ingest), each merged into the
+// live aggregate its pinned unit carries (compiled.live), and
+// /v1/profiles/stats reports each aggregate plus — on request — the
+// decision-agreement rows the offline eval harness computes,
+// recalculated from the live aggregate.
 
 // --- POST /v1/profiles/ingest -----------------------------------------------
 
@@ -52,55 +53,35 @@ type IngestResponse struct {
 	Epoch       uint64 `json:"epoch"`
 }
 
-// resolveIngestUnit maps an ingest request to a registered live unit,
-// registering it from inline source, suite name, or the compile cache
-// as needed, and returns its fingerprint.
-func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (string, error) {
+// ingestUnit resolves an ingest request to its pinned live unit,
+// compiling inline or suite source through the unit cache as needed.
+// A bare fingerprint resolves with one cache lookup; an unknown one is
+// counted as an unknown_fingerprint reject.
+func (s *Server) ingestUnit(ctx context.Context, req *IngestRequest) (*compiled, error) {
 	if req.Program != "" || req.Source != "" {
 		name, src, _, err := req.resolve()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		c, err := s.compileCached(ctx, name, src)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if req.Fingerprint != "" && req.Fingerprint != c.fingerprint {
-			return "", errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
+			return nil, errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
 				req.Fingerprint, c.fingerprint)
 		}
-		s.registerLive(c)
-		return c.fingerprint, nil
+		return s.cache.pin(c), nil
 	}
 	if req.Fingerprint == "" {
-		return "", errBadRequest(`ingest needs "fingerprint", "program", or "source"`)
+		return nil, errBadRequest(`ingest needs "fingerprint", "program", or "source"`)
 	}
-	if s.ingest.Registered(req.Fingerprint) {
-		return req.Fingerprint, nil
+	if c, ok := s.cache.live(req.Fingerprint, true); ok {
+		return c, nil
 	}
-	// A fingerprint the server has compiled before (estimate/optimize)
-	// but never ingested: promote it from the compile cache.
-	if c, ok := s.cache.lookup(req.Fingerprint); ok {
-		s.registerLive(c)
-		return c.fingerprint, nil
-	}
-	return "", errNotFound("unknown fingerprint %.12s: upload the source once (or query it first)",
+	s.cache.ingest.UnknownFingerprint()
+	return nil, errNotFound("unknown fingerprint %.12s: upload the source once (or query it first)",
 		req.Fingerprint)
-}
-
-// registerLive registers c with the ingest store and pins it so LRU
-// eviction cannot orphan a live aggregate.
-func (s *Server) registerLive(c *compiled) {
-	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan())
-	s.liveUnits.Store(c.fingerprint, c)
-}
-
-// liveUnit returns the pinned compiled unit of an ingested fingerprint.
-func (s *Server) liveUnit(fp string) (*compiled, bool) {
-	if v, ok := s.liveUnits.Load(fp); ok {
-		return v.(*compiled), true
-	}
-	return nil, false
 }
 
 func (s *Server) handleIngest(r *http.Request) (any, error) {
@@ -108,7 +89,7 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	fp, err := s.resolveIngestUnit(r.Context(), &req)
+	c, err := s.ingestUnit(r.Context(), &req)
 	if err != nil {
 		return nil, err
 	}
@@ -116,12 +97,10 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	for _, e := range req.Escapes {
 		vec.Escapes = append(vec.Escapes, probes.Escape{Func: e.Func, Block: e.Block})
 	}
-	rcpt, err := s.ingest.IngestCtx(r.Context(), fp,
+	n, err := c.live.Load().Ingest(r.Context(),
 		ingest.Upload{ID: req.UploadID, Label: req.Label, Vector: vec})
 	switch {
 	case err == nil:
-	case errors.Is(err, ingest.ErrUnknownFingerprint):
-		return nil, errNotFound("%v", err)
 	case errors.Is(err, ingest.ErrDuplicate):
 		return nil, errConflict("%v", err)
 	case errors.Is(err, ingest.ErrShape), errors.Is(err, ingest.ErrInvalid):
@@ -130,10 +109,10 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 		return nil, err
 	}
 	return &IngestResponse{
-		Fingerprint: rcpt.Fingerprint,
-		Program:     rcpt.Program,
-		Uploads:     rcpt.Uploads,
-		Epoch:       rcpt.Epoch,
+		Fingerprint: c.fingerprint,
+		Program:     c.unit.Name,
+		Uploads:     n,
+		Epoch:       uint64(n),
 	}, nil
 }
 
@@ -173,23 +152,23 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 	fp := q.Get("fingerprint")
 	if fp == "" {
 		resp := &StatsResponse{Units: []StatsUnit{}}
-		for _, st := range s.ingest.Stats() {
-			resp.Units = append(resp.Units, StatsUnit{
-				Fingerprint: st.Fingerprint,
-				Program:     st.Program,
-				Uploads:     st.Uploads,
-				Epoch:       st.Epoch,
-				Probes:      st.NumProbes,
-			})
+		for _, c := range s.cache.pinnedUnits() {
+			st := StatsUnit{Fingerprint: c.fingerprint, Program: c.unit.Name, Probes: c.probePlan().NumProbes}
+			if snap, ok := c.live.Load().Snapshot(); ok {
+				st.Uploads, st.Epoch = snap.Uploads, snap.Epoch
+			}
+			resp.Units = append(resp.Units, st)
 		}
+		sort.Slice(resp.Units, func(i, j int) bool { return resp.Units[i].Fingerprint < resp.Units[j].Fingerprint })
 		return resp, nil
 	}
 
-	c, ok := s.liveUnit(fp)
+	c, ok := s.cache.live(fp, false)
 	if !ok {
 		return nil, errNotFound("no live aggregate for fingerprint %.12s", fp)
 	}
-	snap, ok := s.ingest.Snapshot(fp)
+	live := c.live.Load()
+	snap, ok := live.Snapshot()
 	if !ok {
 		return nil, errNotFound("fingerprint %.12s is registered but has no uploads yet", fp)
 	}
@@ -199,10 +178,14 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 		Uploads:     snap.Uploads,
 		Epoch:       snap.Epoch,
 		Probes:      c.probePlan().NumProbes,
-		MergeOrder:  s.ingest.MergeOrder(fp),
+		MergeOrder:  live.MergeOrder(),
 	}
 	if q.Get("agreement") != "" {
-		rows, err := eval.AgreementRows(c.unit.Name, c.unit, c.estimates(), snap.Profile)
+		est, err := c.estimates()
+		if err != nil {
+			return nil, err
+		}
+		rows, err := eval.AgreementRows(c.unit.Name, c.unit, est, snap.Profile)
 		if err != nil {
 			return nil, errUnprocessable("agreement for %.12s: %v", fp, err)
 		}
@@ -220,14 +203,4 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 		}
 	}
 	return &StatsResponse{Units: []StatsUnit{unit}}, nil
-}
-
-// liveSource builds the "live" frequency source of a fingerprint, or
-// reports that the fingerprint is cold.
-func (s *Server) liveSource(c *compiled) (*opt.Source, bool) {
-	snap, ok := s.ingest.Snapshot(c.fingerprint)
-	if !ok {
-		return nil, false
-	}
-	return opt.ProfileSource(c.unit.CFG, snap.Profile, opt.LiveSourceName), true
 }

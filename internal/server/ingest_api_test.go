@@ -143,8 +143,8 @@ func TestIngestLoop(t *testing.T) {
 
 // TestIngestValidation pins the defensive contract at the HTTP layer:
 // unknown fingerprints 404, replayed upload IDs 409, malformed vectors
-// 422 with a distinct reject counter — and none of them disturb the
-// live aggregate.
+// 422, each with a distinct reject counter — and none of them disturb
+// the live aggregate.
 func TestIngestValidation(t *testing.T) {
 	o := obs.New()
 	_, ts := newTestServer(t, server.Config{Obs: o})
@@ -167,7 +167,7 @@ func TestIngestValidation(t *testing.T) {
 	}{
 		{"unknown fingerprint", ingestBody(t, map[string]any{
 			"fingerprint": "0123456789abcdef", "counts": vec.Counts,
-		}), http.StatusNotFound, ""},
+		}), http.StatusNotFound, "unknown_fingerprint"},
 		{"no identity", ingestBody(t, map[string]any{
 			"counts": vec.Counts,
 		}), http.StatusBadRequest, ""},

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -40,6 +42,29 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if n := o.Counter(obs.Labels("server_errors_total", "endpoint", "boom")).Value(); n != 1 {
 		t.Errorf("server_errors_total = %d, want 1", n)
+	}
+}
+
+// TestUnencodableResponse pins that the api middleware encodes a
+// handler's value before writing any header: a value JSON cannot carry
+// gets a 500 with a JSON error body, not an empty 200.
+func TestUnencodableResponse(t *testing.T) {
+	s := New(Config{})
+	h := s.api("inf", func(_ *http.Request) (any, error) {
+		return map[string]float64{"x": math.Inf(1)}, nil
+	})
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/inf", strings.NewReader("{}")))
+
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "unsupported value") {
+		t.Errorf("body %q, want a JSON error naming the unsupported value", rec.Body.String())
 	}
 }
 

@@ -36,11 +36,9 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"staticest"
-	"staticest/internal/ingest"
 	"staticest/internal/obs"
 )
 
@@ -105,19 +103,11 @@ func (c Config) withDefaults() Config {
 
 // Server serves estimation queries over compiled units.
 type Server struct {
-	cfg    Config
-	obs    *obs.Observer
-	cache  *unitCache
-	ingest *ingest.Store
-	sem    chan struct{}
-	mux    *http.ServeMux
-
-	// liveUnits pins the compiled unit of every ingested fingerprint
-	// (fingerprint -> *compiled): the LRU may evict cold sources, but a
-	// unit with a live aggregate must stay resolvable for
-	// /v1/profiles/stats and freq_source "live". Bounded by the number
-	// of distinct fingerprints ever ingested.
-	liveUnits sync.Map
+	cfg   Config
+	obs   *obs.Observer
+	cache *unitCache
+	sem   chan struct{}
+	mux   *http.ServeMux
 
 	hits     *obs.Counter
 	misses   *obs.Counter
@@ -141,8 +131,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    newUnitCache(cfg.CacheSize),
-		ingest:   ingest.NewStore(cfg.Obs),
+		cache:    newUnitCache(cfg.CacheSize, cfg.Obs),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
 		hits:     cfg.Obs.Counter("server_cache_hit"),
@@ -155,8 +144,6 @@ func New(cfg Config) *Server {
 		slow:            &slowRing{},
 		started:         time.Now(),
 	}
-	s.cache.hitSeconds = cfg.Obs.Histogram("server_cache_hit_seconds")
-	s.cache.compileSeconds = cfg.Obs.Histogram("server_compile_seconds")
 	s.sampleRuntime()
 
 	s.mux.Handle("POST /v1/estimate", s.api("estimate", s.handleEstimate))
@@ -176,7 +163,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"status\":\"ok\",\"cached_units\":%d,\"live_units\":%d}\n",
-			s.cache.len(), s.ingest.Len())
+			s.cache.len(), len(s.cache.pinnedUnits()))
 	})
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		s.sampleRuntime() // scrape-fresh runtime_* gauges
@@ -239,7 +226,8 @@ type apiHandler func(r *http.Request) (any, error)
 type rawJSON []byte
 
 // api wraps an endpoint handler in the middleware stack, innermost
-// first: JSON encoding and error mapping, panic-to-500 recovery with
+// first: JSON encoding (through encodeBody, the one encoder of API
+// responses) and error mapping, panic-to-500 recovery with
 // the inflight gauge and per-endpoint RED instrumentation around it
 // (request counters, response counters by status class, a latency
 // histogram), the worker semaphore, and the outermost wall-clock
@@ -334,6 +322,12 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			}()
 			return h(r)
 		}()
+		// Encode before any header is written, so a value JSON cannot
+		// carry becomes a 500 with an error body, not an empty 200.
+		body, isRaw := v.(rawJSON)
+		if err == nil && !isRaw {
+			body, err = encodeBody(v)
+		}
 		if err != nil {
 			errorsC.Add(1)
 			status := http.StatusInternalServerError
@@ -349,15 +343,7 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if raw, ok := v.(rawJSON); ok {
-			if _, err := w.Write(raw); err != nil {
-				errorsC.Add(1)
-			}
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
+		if _, err := w.Write(body); err != nil {
 			errorsC.Add(1)
 		}
 	}

@@ -194,6 +194,86 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestLiveUnitSurvivesEviction pins that a unit registered for ingest
+// outlives its LRU slot: with a one-unit cache, a second source evicts
+// the live unit from the LRU, yet the next estimate of it is a hit
+// (2 misses, not 3), and its live aggregate still drives optimize.
+func TestLiveUnitSurvivesEviction(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 1})
+	vec, _ := strchrVector(t)
+
+	if status, b := post(t, ts.URL+"/v1/profiles/ingest", ingestBody(t, map[string]any{
+		"name": "strchr.c", "source": strchrSrc, "upload_id": "u1", "label": "run1", "counts": vec.Counts,
+	})); status != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", status, b)
+	}
+	src2 := strings.Replace(strchrSrc, "my_strchr", "my_strchr2", -1)
+	for _, src := range []string{src2, strchrSrc} {
+		if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(src)+`}`); status != http.StatusOK {
+			t.Fatalf("estimate: status %d: %s", status, b)
+		}
+	}
+	if miss := o.Counter("server_cache_miss").Value(); miss != 2 {
+		t.Errorf("server_cache_miss = %d, want 2 (the live unit is not compiled again)", miss)
+	}
+	status, b := post(t, ts.URL+"/v1/optimize",
+		`{"name":"strchr.c","source":`+jsonString(strchrSrc)+`,"freq_source":"live","reports":["inline"]}`)
+	var or server.OptimizeResponse
+	if status != http.StatusOK || json.Unmarshal(b, &or) != nil || or.Fallback != "" || or.Uploads != 1 {
+		t.Errorf("optimize live after eviction: status %d: %s", status, b)
+	}
+}
+
+// deepNest is a program whose innermost statement sits in depth nested
+// while loops and calls a function. Each level multiplies the AST
+// estimators' frequency guess, so at depth 520 the estimates pass
+// math.MaxFloat64.
+func deepNest(depth int) string {
+	return "int f(int x) { return x; }\nint main(void) {\n\tint i;\n\ti = 0;\n" +
+		strings.Repeat("while (i < 1) {\n", depth) + "f(i); i++;\n" +
+		strings.Repeat("}\n", depth) + "\treturn 0;\n}\n"
+}
+
+// TestEstimateOverflow pins that estimates beyond the float64 range
+// answer 422 naming the overflow on every endpoint that serves them —
+// not a 500 from the JSON encoder, and not an empty 200 — while a nest
+// just short of the overflow is still served.
+func TestEstimateOverflow(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	deep := jsonString(deepNest(520))
+
+	status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+deep+`}`)
+	if status != http.StatusUnprocessableEntity || !bytes.Contains(b, []byte("overflow")) {
+		t.Errorf("estimate: status %d: %s, want 422 naming the overflow", status, b)
+	}
+	status, b = post(t, ts.URL+"/v1/optimize", `{"source":`+deep+`,"reports":["inline"]}`)
+	if status != http.StatusUnprocessableEntity || !bytes.Contains(b, []byte("overflow")) {
+		t.Errorf("optimize: status %d: %s, want 422 naming the overflow", status, b)
+	}
+	status, b = post(t, ts.URL+"/v1/batch", `{"items":[{"source":`+deep+`},{"source":`+jsonString(strchrSrc)+`}]}`)
+	var br struct {
+		Errors int `json:"errors"`
+		Items  []struct {
+			Status int    `json:"status"`
+			Error  string `json:"error"`
+		} `json:"items"`
+	}
+	if status != http.StatusOK || json.Unmarshal(b, &br) != nil || len(br.Items) != 2 {
+		t.Fatalf("batch: status %d: %s", status, b)
+	}
+	if it := br.Items[0]; it.Status != http.StatusUnprocessableEntity || !strings.Contains(it.Error, "overflow") {
+		t.Errorf("batch item 0 = %+v, want 422 naming the overflow", it)
+	}
+	if br.Errors != 1 || br.Items[1].Status != http.StatusOK {
+		t.Errorf("batch: %d errors, item 1 status %d; want 1 error and a 200 beside it", br.Errors, br.Items[1].Status)
+	}
+
+	if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(deepNest(500))+`}`); status != http.StatusOK {
+		t.Errorf("500-deep nest: status %d: %.200s", status, b)
+	}
+}
+
 // TestRequestErrors exercises the failure modes of the API surface.
 func TestRequestErrors(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxBodyBytes: 2048})

@@ -56,7 +56,7 @@ done
 
 # Phase 1: estimates and uploads, half and half.
 "$bin/loadtest" -addr "$addr" -duration "$duration" -rps "$rps" -hit 0.9 -j 4 \
-	-max-p99 "$max_p99" -ingest 0.5 -program "$program" -tol 0.1 >"$bin/phase1" ||
+	-max-p99 "$max_p99" -ingest 0.5 -program "$program" -tol 0.01 >"$bin/phase1" ||
 	{ cat "$bin/phase1"; exit 1; }
 cat "$bin/phase1"
 uploads=$(awk '/ uploads of / { print $2 }' "$bin/phase1")
